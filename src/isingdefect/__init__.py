@@ -29,10 +29,10 @@ from .model import (
     SpectrumResult,
     build_hamiltonian,
     defect_coefficients,
-    dense_matrix,
     energy_scan,
     energy_scan_csv,
     exact_ground,
+    ground_energy_gap,
 )
 from .observables import (
     BraidOperator,
@@ -47,7 +47,7 @@ from .observables import (
     ybar_hadamard,
     ybar_result,
 )
-from .paulis import PauliString, WeightedPauliSum, commutator_norm
+from .paulis import PauliString, WeightedPauliSum, commutator_norm, dense_matrix
 from .qng import (
     OptimizeOptions,
     OptimizerState,

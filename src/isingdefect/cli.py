@@ -42,10 +42,9 @@ from .measure import ShotPlan, sample_pauli_expectation
 from .model import (
     ModelParams,
     build_hamiltonian,
-    dense_matrix,
     energy_scan,
     energy_scan_csv,
-    exact_ground,
+    ground_energy_gap,
 )
 from .observables import (
     correlator_csv,
@@ -53,11 +52,13 @@ from .observables import (
     ybar_exact,
     ybar_hadamard,
 )
+from .paulis import DENSE_LIMIT, dense_matrix
 from .qng import OptimizeOptions, optimize, trace_to_csv
 from .zne import NoiseModel, ZneSchedule, ansatz_circuit, zne_pipeline
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
-ORACLE_LIMIT = 14
+STATEVECTOR_LIMIT = 14  # circuit kinds hold 2^L amplitudes per derivative state
+SCAN_LIMIT = 1000  # energy-scan diagonalizes 2L x 2L matrices: 64 MB, ~8 s a point
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,11 @@ def validate(config: ExperimentConfig) -> list:
             continue
         if circuit_kind and L < 2:
             diags.append(f"L={L}: circuit experiments need at least 2 sites")
-        if circuit_kind and L > ORACLE_LIMIT:
-            diags.append(f"L={L}: oracle range exceeded (dense reference "
-                         f"needs L <= {ORACLE_LIMIT})")
+        if circuit_kind and L > STATEVECTOR_LIMIT:
+            diags.append(f"L={L}: statevector range exceeded (circuit kinds "
+                         f"need L <= {STATEVECTOR_LIMIT})")
+        if not circuit_kind and L > SCAN_LIMIT:
+            diags.append(f"L={L}: energy-scan needs L <= {SCAN_LIMIT}")
         if circuit_kind and config.N is None and L % 2 != 0:
             diags.append(f"L={L} is odd; N defaults to L/2, so set N explicitly")
         for v in config.v:
@@ -302,7 +305,7 @@ def _run_optimize(config, out_dir, outputs, dump_hamiltonian, dump_state):
         mp, spec, state, trace = _optimized(config, L, v, seed)
         tag = f"L{L}_v{_vtag(v)}"
         _write(out_dir, f"trace_{tag}.csv", trace_to_csv(trace), outputs)
-        reference = exact_ground(mp).ground_energy
+        reference = ground_energy_gap(mp)[0]
         psi = prepare_state(spec, state.params)
         plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
         H = build_hamiltonian(mp)
@@ -316,6 +319,7 @@ def _run_optimize(config, out_dir, outputs, dump_hamiltonian, dump_state):
             "rel_error": abs(state.energy - reference) / abs(reference),
             "iterations": state.iteration,
             "converged": state.converged,
+            "stop_reason": state.stop_reason,
             "measured_energy": measured,
             "measured_std_error": se,
             "runs": runs, "shots": shots,
@@ -415,7 +419,7 @@ def _run_zne(config, out_dir, outputs, dump_hamiltonian, dump_state):
             "unmitigated": report["estimates"][0],
             "extrapolated": report["extrapolated"],
             "noiseless_reference": report["noiseless_reference"],
-            "exact_energy": exact_ground(mp).ground_energy,
+            "exact_energy": ground_energy_gap(mp)[0],
         })
     return results
 
@@ -438,6 +442,9 @@ def run(config: ExperimentConfig, out_dir,
     if dump_state and config.kind == "energy-scan":
         raise ValueError("dump_state is not available for energy-scan: "
                          "no state is prepared")
+    if dump_hamiltonian and max(config.L) > DENSE_LIMIT:
+        raise ValueError(f"dump_hamiltonian writes a dense 2^L x 2^L matrix "
+                         f"and needs L <= {DENSE_LIMIT}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 _LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+DENSE_LIMIT = 12  # largest register converted to a dense matrix
 
 
 def _phase_exponent(phase):
@@ -181,22 +182,6 @@ class WeightedPauliSum:
         """Sum of |coefficients| after canonical merge."""
         return sum(abs(c) for c in self._terms.values())
 
-    def to_matrix(self):
-        """Dense matrix, guarded to n <= 12 qubits (oracle use only)."""
-        import numpy as np
-
-        n = self.n_qubits
-        if n > 12:
-            raise ValueError("dense conversion guarded to n <= 12")
-        dim = 1 << n
-        idx = np.arange(dim, dtype=np.uint64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms():
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z)) & np.uint64(1)).astype(float)
-            rows = (idx ^ np.uint64(string.x)).astype(np.int64)
-            mat[rows, idx.astype(np.int64)] += coeff * _PHASES[string.n_y % 4] * signs
-        return mat
-
     def to_lines(self):
         """Serialize, one term per line: coeff_re coeff_im site:P site:P ..."""
         lines = []
@@ -221,6 +206,31 @@ class WeightedPauliSum:
                 ops[int(site)] = letter
             out.add(coeff, PauliString.from_ops(ops))
         return out
+
+
+def dense_matrix(H: WeightedPauliSum):
+    """Dense matrix of a weighted Pauli sum, real when every term is.
+
+    The one Pauli-to-dense conversion, for test oracles, the dense
+    ground-state solver and Hamiltonian dumps; guarded to DENSE_LIMIT qubits
+    (a complex matrix is 268 MB there).
+    """
+    import numpy as np
+
+    n = H.n_qubits
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense conversion guarded to n <= {DENSE_LIMIT}")
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.uint64)
+    cols = idx.astype(np.int64)
+    real = all(c.imag == 0.0 and string.n_y % 2 == 0 for c, string in H.terms())
+    mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    for coeff, string in H.terms():
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z)) & np.uint64(1)).astype(np.float64)
+        rows = (idx ^ np.uint64(string.x)).astype(np.int64)
+        weight = coeff * _PHASES[string.n_y % 4]
+        mat[rows, cols] += (weight.real if real else weight) * signs
+    return mat
 
 
 def commutator_norm(a: WeightedPauliSum, b: WeightedPauliSum) -> float:

@@ -12,7 +12,8 @@ of the circuit over a (P+1)-row batch instead of P separate circuit runs.
 Regularization and step-halving are deterministic safeguards: lam starts at
 1e-4 and escalates tenfold when the shifted solve is not positive definite,
 and a step that raises the energy by more than 1e-9 is halved up to 8 times
-before being rejected outright.
+before being rejected outright. A rejected step ends `optimize`: the next
+iteration would recompute the same direction and reject it again.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import AnsatzSpec, gate_generators, init_params, parameter_count, prepare_state
-from .model import ModelParams, build_hamiltonian, exact_ground
+from .model import ModelParams, build_hamiltonian, ground_energy_gap
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import (
     RotationGate,
@@ -100,6 +101,9 @@ class OptimizerState:
     grad_norm: float = math.nan
     learning_rate: float = 0.05
     converged: bool = False
+    # why optimize stopped: rel_tol, grad_tol, max_iters, or rejected (set by
+    # qng_step when the full step and all 8 halvings raise the energy)
+    stop_reason: str = ""
 
 
 def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=1e-4) -> OptimizerState:
@@ -128,17 +132,14 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=1e-4) -> O
     new_params = state.params - eta * direction
     new_energy = state.energy
     if energy_fn is not None and math.isfinite(state.energy):
-        accepted = False
         for _ in range(9):  # full step plus 8 halvings
             new_energy = energy_fn(new_params)
             if new_energy <= state.energy + 1e-9:
-                accepted = True
                 break
             eta *= 0.5
             new_params = state.params - eta * direction
-        if not accepted:
-            new_params = state.params
-            new_energy = state.energy
+        else:
+            return replace(state, iteration=state.iteration + 1, stop_reason="rejected")
     return replace(
         state,
         params=new_params,
@@ -155,7 +156,7 @@ class OptimizeOptions:
     seed: int = 0
     rel_tol: float = 1e-3
     grad_tol: float = 1e-6
-    use_oracle: bool | None = None  # None: on whenever the dense solver fits
+    use_oracle: bool | None = None  # None: on; the free-fermion oracle covers every L
     plain_gradient: bool = False  # identity metric, for head-to-head baselines
 
 
@@ -182,10 +183,8 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     if spec.boundary != model_params.boundary:
         raise ValueError("ansatz boundary must match the model's")
     H = build_hamiltonian(model_params)
-    use_oracle = opts.use_oracle
-    if use_oracle is None:
-        use_oracle = model_params.L <= 14
-    target = exact_ground(model_params).ground_energy if use_oracle else None
+    use_oracle = opts.use_oracle is not False
+    target = ground_energy_gap(model_params)[0] if use_oracle else None
 
     def energy_fn(params):
         return expectation(prepare_state(spec, params), H)
@@ -209,10 +208,10 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         if best is None or energy < best.energy:
             best = replace(state, params=state.params.copy())
         if target is not None and rel < opts.rel_tol:
-            state.converged = True
+            state.converged, state.stop_reason = True, "rel_tol"
             break
         if state.grad_norm < opts.grad_tol:
-            state.converged = True
+            state.converged, state.stop_reason = True, "grad_tol"
             break
         if identity is not None:
             metric = identity
@@ -222,7 +221,10 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
             w = D.conj() @ psi
             metric -= np.outer(w.real, w.real) + np.outer(w.imag, w.imag)
         state = qng_step(state, grad, metric, energy_fn=energy_fn, lam=opts.lam)
+        if state.stop_reason:
+            break
     if state.converged:
         return state, trace
     best.converged = False
+    best.stop_reason = state.stop_reason or "max_iters"
     return best, trace

@@ -19,6 +19,8 @@ from isingdefect.observables import correlator_profile
 from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
 
+import oracles
+
 
 def _write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -75,7 +77,10 @@ def test_validate_accepts_template_like_config():
 
 def test_validate_flags_each_problem():
     diags = validate(ExperimentConfig(kind="optimize", L=(16,)))
-    assert any("oracle range exceeded" in d for d in diags)
+    assert any("statevector range exceeded" in d for d in diags)
+    assert validate(ExperimentConfig(kind="energy-scan", L=(1000,))) == []
+    diags = validate(ExperimentConfig(kind="energy-scan", L=(1001,)))
+    assert any("energy-scan needs L <= 1000" in d for d in diags)
     diags = validate(ExperimentConfig(kind="optimize", L=(5,)))
     assert any("odd" in d for d in diags)
     assert validate(ExperimentConfig(kind="optimize", L=(5,), N=2)) == []
@@ -173,6 +178,47 @@ def test_run_energy_scan_writes_rows(tmp_path):
     assert record.results["instances"][0]["points"] == 3
 
 
+def test_run_energy_scan_past_the_dense_limit(tmp_path):
+    # [DERIVED] critical ring: E0 = -2 / sin(pi / 2L); open chain: the
+    # free-fermion singular-value oracle
+    L = 40
+    for b, want in ((1, -2.0 / math.sin(math.pi / (2 * L))),
+                    (0, oracles.free_fermion_ground_energy(L))):
+        cfg = ExperimentConfig(kind="energy-scan", L=(L,), b=b, v=(0.0,))
+        run(cfg, tmp_path / f"b{b}")
+        row = (tmp_path / f"b{b}" / f"scan_L{L}.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[2]) == pytest.approx(want, abs=1e-12)
+
+
+def test_runtime_never_builds_a_dense_matrix(tmp_path, monkeypatch):
+    import scipy.linalg
+
+    import isingdefect.model as model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(model, "dense_matrix", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    cfg = ExperimentConfig(kind="energy-scan", L=(11,), b=1, v=(0.0, 1.0))
+    assert run(cfg, tmp_path / "scan").results["instances"][0]["points"] == 2
+    mp = ModelParams(L=6, b=1, v=4.0)
+    state, trace = optimize(AnsatzSpec(L=6, N=3, boundary="periodic"), mp)
+    assert state.converged and state.stop_reason == "rel_tol"
+    assert trace[-1].rel_error < 1e-3
+
+
+def test_dump_hamiltonian_refused_past_the_dense_limit(tmp_path, capsys):
+    # refused before any work, not after a 4.3 GB allocation
+    for text in ("kind = energy-scan\nL = 13\n", "kind = optimize\nL = 14\n"):
+        cfg = _write_cfg(tmp_path, text)
+        code = main(["run", cfg, "--out-dir", str(tmp_path / "x"),
+                     "--dump-hamiltonian"])
+        assert code == 1
+        assert "dump_hamiltonian" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_zne_writes_report(tmp_path):
     cfg = ExperimentConfig(kind="zne", L=(4,), b=0, v=(0.0,),
                            factors=(1.0, 2.0, 3.0), degree=1,
@@ -220,7 +266,7 @@ def test_main_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", good]) == 0
     assert "ok" in capsys.readouterr().out
     assert main(["validate", bad]) == 1
-    assert "oracle range" in capsys.readouterr().out
+    assert "statevector range" in capsys.readouterr().out
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 1
 
 
@@ -254,7 +300,7 @@ def test_main_run_internal_error_is_exit_3(tmp_path, capsys):
 def test_main_run_validation_failure_is_exit_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "kind = optimize\nL = 16\n")
     assert main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 1
-    assert "oracle range" in capsys.readouterr().err
+    assert "statevector range" in capsys.readouterr().err
 
 
 def test_dump_state_rejected_for_energy_scan(tmp_path, capsys):

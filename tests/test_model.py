@@ -12,6 +12,7 @@ from isingdefect.model import (
     energy_scan,
     energy_scan_csv,
     exact_ground,
+    ground_energy_gap,
 )
 from isingdefect.statevector import sum_apply_raw
 
@@ -116,17 +117,37 @@ def test_eigen_residual(p):
 
 
 def test_frozen_values_at_experiment_scale():
-    # [DERIVED] dense diagonalization, frozen
+    # [DERIVED] dense diagonalization, frozen; the free-fermion route must
+    # reproduce them too
     cases = [
         (0, 0.0, -14.925971109909, 0.251162078),
         (1, 0.0, -15.322595151081, 0.131086926),
         (0, 4.0, -14.257245697782, 0.000387359),
     ]
     for b, v, e0, gap in cases:
-        res = exact_ground(ModelParams(L=12, b=b, v=v, j=6))
+        p = ModelParams(L=12, b=b, v=v, j=6)
+        res = exact_ground(p)
         assert res.ground_energy == pytest.approx(e0, abs=1e-8)
         assert res.gap == pytest.approx(gap, abs=1e-8)
         assert not res.degenerate
+        assert ground_energy_gap(p) == pytest.approx((e0, gap), abs=1e-8)
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+@pytest.mark.parametrize("b", [0, 1])
+def test_free_fermion_energy_gap_matches_dense_oracle(L, b):
+    j_max = L if b else L - 1
+    for v in (0.0, 0.7, 4.0, math.inf):
+        for j in sorted({1, L // 2, j_max}):
+            w = np.linalg.eigvalsh(oracles.dense_hamiltonian(L, b, v, j))
+            energy, gap = ground_energy_gap(ModelParams(L=L, b=b, v=v, j=j))
+            assert energy == pytest.approx(w[0], abs=1e-10), (v, j)
+            assert gap == pytest.approx(w[1] - w[0], abs=1e-10), (v, j)
+
+
+def test_free_fermion_energy_gap_single_site():
+    # [TRIVIAL] H = -X has levels -1 and +1
+    assert ground_energy_gap(ModelParams(L=1, b=0)) == (-1.0, 2.0)
 
 
 def test_energy_scan_rows_and_csv():

@@ -21,7 +21,7 @@ from isingdefect.observables import (
     ybar_hadamard,
     ybar_result,
 )
-from isingdefect.paulis import WeightedPauliSum, commutator_norm
+from isingdefect.paulis import WeightedPauliSum, commutator_norm, dense_matrix
 from isingdefect.qng import OptimizeOptions, optimize
 from isingdefect.statevector import StateVector, plus_state
 
@@ -53,19 +53,19 @@ def random_state(L, seed):
 def test_braids_match_dense_oracle_and_are_unitary(L):
     for k in range(1, 2 * L):
         for inverse in (False, True):
-            got = BraidOperator(k, L).to_sum(inverse).to_matrix()
+            got = dense_matrix(BraidOperator(k, L).to_sum(inverse))
             want = oracles.dense_braid(k, L, inverse)
             assert np.allclose(got, want, atol=1e-12)
             assert np.allclose(got @ got.conj().T, np.eye(1 << L), atol=1e-12)
     for k in range(1, 2 * L):
-        g = BraidOperator(k, L).to_sum(False).to_matrix()
-        ginv = BraidOperator(k, L).to_sum(True).to_matrix()
+        g = dense_matrix(BraidOperator(k, L).to_sum(False))
+        ginv = dense_matrix(BraidOperator(k, L).to_sum(True))
         assert np.allclose(g @ ginv, np.eye(1 << L), atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_braid_relations(L):
-    mats = [BraidOperator(k, L).to_sum().to_matrix() for k in range(1, 2 * L)]
+    mats = [dense_matrix(BraidOperator(k, L).to_sum()) for k in range(1, 2 * L)]
     for a, b in zip(mats, mats[1:]):
         assert np.allclose(a @ b @ a, b @ a @ b, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_odd_braid_multiplies_plus_state_by_minus_one():
     for L in (2, 3):
         psi = plus_state(L).amplitudes
         for k in range(1, 2 * L, 2):
-            g = BraidOperator(k, L).to_sum().to_matrix()
+            g = dense_matrix(BraidOperator(k, L).to_sum())
             assert np.allclose(g @ psi, -psi, atol=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_loop_operator_sum_is_hermitian_and_matches_oracle():
     for L in (2, 3, 4):
         yb = LoopOperator(L).to_sum()
         assert yb.is_hermitian()
-        assert np.allclose(yb.to_matrix(), oracles.dense_ybar(L), atol=1e-10)
+        assert np.allclose(dense_matrix(yb), oracles.dense_ybar(L), atol=1e-10)
 
 
 def test_loop_expectation_real_on_random_states():

@@ -8,6 +8,7 @@ from isingdefect.paulis import (
     WeightedPauliSum,
     commutator_norm,
     commute,
+    dense_matrix,
     multiply,
 )
 from oracles import kron_chain
@@ -23,7 +24,7 @@ def string_from_letters(letters):
 def dense(string, n):
     mat = kron_chain({}, n) * 0
     sum1 = WeightedPauliSum(n).add(1.0, string)
-    return sum1.to_matrix() + mat
+    return dense_matrix(sum1) + mat
 
 
 def test_multiply_involution():
@@ -125,10 +126,25 @@ def test_sum_product_matches_dense():
         for _ in range(4):
             ops = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=n)) if k}
             s.add(complex(rng.normal(), rng.normal()), PauliString.from_ops(ops))
-    np.testing.assert_allclose((a @ b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
+    np.testing.assert_allclose(dense_matrix(a @ b), dense_matrix(a) @ dense_matrix(b), atol=1e-12)
     np.testing.assert_allclose(
-        a.conjugate_transpose().to_matrix(), a.to_matrix().conj().T, atol=1e-12
+        dense_matrix(a.conjugate_transpose()), dense_matrix(a).conj().T, atol=1e-12
     )
+
+
+def test_dense_matrix_real_when_possible_and_guarded():
+    h = WeightedPauliSum(2)
+    h.add(-1.0, PauliString.from_ops({0: "Y", 1: "Y"}))
+    h.add(0.5, PauliString.from_ops({0: "X"}))
+    assert dense_matrix(h).dtype == np.float64
+    np.testing.assert_allclose(
+        dense_matrix(h), -kron_chain({0: "Y", 1: "Y"}, 2) + 0.5 * kron_chain({0: "X"}, 2),
+        atol=1e-15)
+    h.add(1.0, PauliString.from_ops({0: "Y", 1: "Z"}))
+    assert dense_matrix(h).dtype == np.complex128
+    dense_matrix(WeightedPauliSum(12))
+    with pytest.raises(ValueError, match="n <= 12"):
+        dense_matrix(WeightedPauliSum(13))
 
 
 def test_string_to_matrix_consistency_exhaustive():
@@ -156,7 +172,7 @@ def test_serialization_roundtrip():
     s.add(2.0, PauliString())
     text = s.to_lines()
     back = WeightedPauliSum.from_lines(text, 3)
-    np.testing.assert_allclose(back.to_matrix(), s.to_matrix(), atol=1e-15)
+    np.testing.assert_allclose(dense_matrix(back), dense_matrix(s), atol=1e-15)
 
 
 def test_register_guard():

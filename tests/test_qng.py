@@ -209,6 +209,27 @@ def test_qng_step_rejects_hopeless_direction():
     )
     assert out.params[0] == 1.0
     assert out.energy == 5.0
+    assert out.stop_reason == "rejected"
+
+
+def test_optimize_stops_at_first_rejected_step(monkeypatch):
+    # every halving energy call reports a rise, so the first step is rejected
+    import isingdefect.qng as qng
+
+    calls = []
+
+    def rising(state, H):
+        calls.append(1)
+        return math.inf
+
+    monkeypatch.setattr(qng, "expectation", rising)
+    mp = ModelParams(L=4, b=0, v=0.0)
+    state, trace = optimize(AnsatzSpec(L=4, N=2), mp, OptimizeOptions(max_iters=500))
+    assert len(trace) == 1
+    assert len(calls) == 9  # full step plus 8 halvings, then stop
+    assert not state.converged
+    assert state.stop_reason == "rejected"
+    assert state.energy == trace[0].energy
 
 
 def test_qng_step_escalates_and_surfaces_failure():
@@ -238,6 +259,7 @@ def test_optimize_reaches_per_mille_accuracy_l8():
     assert state.converged
     target = exact_ground(mp).ground_energy
     assert abs(state.energy - target) / abs(target) < 1e-3
+    assert state.stop_reason == "rel_tol"
 
 
 def test_optimize_defect_case_l8():
@@ -286,6 +308,7 @@ def test_optimize_flags_non_convergence():
     spec = AnsatzSpec(L=4, N=2)
     state, trace = optimize(spec, mp, OptimizeOptions(max_iters=3))
     assert not state.converged
+    assert state.stop_reason == "max_iters"
     assert len(trace) == 3
 
 
