@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -280,8 +281,17 @@ def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
     return float(arr.mean()), se
 
 
+def _write_text(path: Path, text: str):
+    """Write `text` to `path`, overwriting in place: ext4 flushes a file
+    truncated to zero and rewritten when it is closed (auto_da_alloc), so
+    a rerun into the same directory would wait on the disk."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def _write(out_dir: Path, name: str, text: str, outputs: list):
-    (out_dir / name).write_text(text)
+    _write_text(out_dir / name, text)
     outputs.append(name)
 
 
@@ -465,7 +475,7 @@ def run(config: ExperimentConfig, out_dir,
             "isingdefect": __version__,
         },
     )
-    (out_dir / "record.json").write_text(record.to_json() + "\n")
+    _write_text(out_dir / "record.json", record.to_json() + "\n")
     return record
 
 

@@ -133,16 +133,17 @@ def _lowest_levels(A: np.ndarray, parity: int | None) -> tuple[float, float]:
 
     The levels are E_vac plus sums of mode energies eps_k, and the Fock
     vacuum has parity (-1)^L sign Pf(A). Pf(A) is det(Q) Pf(T) for the
-    tridiagonal Hessenberg form A = Q T Q^T; a zero mode makes Pf(A) = 0,
-    and then both branches below give the same levels.
+    tridiagonal Hessenberg form A = Q T Q^T; Q is a product of Householder
+    reflectors, each of determinant -1 unless its tau is 0. A zero mode
+    makes Pf(A) = 0, and then both branches below give the same levels.
     """
     n = A.shape[0]
     eps = np.linalg.eigvalsh(1j * A)[n // 2:]
     e_vac = -0.5 * float(eps.sum())
     if parity is None:
         return e_vac, e_vac + eps[0]
-    T, Q = scipy.linalg.hessenberg(A, calc_q=True)
-    pf_sign = np.linalg.slogdet(Q)[0] * np.prod(np.sign(np.diag(T, 1)[::2]))
+    T, tau, _ = scipy.linalg.lapack.dgehrd(A)
+    pf_sign = (-1) ** np.count_nonzero(tau) * np.prod(np.sign(np.diag(T, 1)[::2]))
     if (-1) ** (n // 2) * pf_sign == parity:
         return e_vac, e_vac + eps[0] + eps[1]
     return e_vac + eps[0], e_vac + eps[1]

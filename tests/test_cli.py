@@ -245,6 +245,18 @@ def test_rerun_is_byte_identical(tmp_path):
                (tmp_path / "b" / name).read_bytes()
 
 
+def test_rerun_into_a_used_directory_leaves_no_stale_bytes(tmp_path):
+    long = ExperimentConfig(kind="energy-scan", L=(6,), b=1, v=(0.0, 0.5, 1.0))
+    short = ExperimentConfig(kind="energy-scan", L=(6,), b=1, v=(0.5,))
+    run(long, tmp_path / "used")
+    record = run(short, tmp_path / "used")
+    run(short, tmp_path / "clean")
+    assert (tmp_path / "used" / "scan_L6.csv").read_bytes() == \
+           (tmp_path / "clean" / "scan_L6.csv").read_bytes()
+    written = json.loads((tmp_path / "used" / "record.json").read_text())
+    assert written == json.loads(record.to_json())
+
+
 def test_dump_flags_produce_loadable_arrays(tmp_path):
     cfg = ExperimentConfig(kind="optimize", L=(4,), analytic=True)
     record = run(cfg, tmp_path / "out", dump_hamiltonian=True, dump_state=True)
