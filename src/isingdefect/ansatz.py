@@ -9,6 +9,14 @@ Parameters are ordered exactly as the gates fire, layer by layer:
 [theta_1..theta_nb, zeta_1..zeta_L, phi_1..phi_L] per layer, where nb is the
 bond count (L-1 open, L periodic, the wrap bond Z_L Z_1 last). One angle per
 gate, R(t) = exp(-i t G), so the count is (3L-1)N open and 3LN periodic.
+
+Circuit passes run block by block. Consecutive gates that commute form one
+block: a diagonal block (the Z fields of layer a with the ZZ bonds of layer
+a+1) is one phase-vector multiply exp(-i sum_p t_p s_p), and an X block
+(one X rotation per site) is a few Kronecker factors of at most
+FACTOR_SITES adjacent sites, applied by matmul on a reshaped view. A derivative insertion -i O_p
+commutes with the rest of its block, so `derivative_sweep` writes all of a
+block's derivative rows at once, at the block's end.
 """
 from __future__ import annotations
 
@@ -18,9 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from .paulis import PauliString
-from .statevector import RotationGate, StateVector, plus_state, rotation_apply_raw
+from .statevector import RotationGate, StateVector, _zsigns, plus_state, rotation_apply_raw
 
 _BOUNDARIES = ("open", "periodic")
+FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
+GROUP_BYTES = 1 << 21  # state rows per X-block pass: 2 MB, an L2's worth
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,108 @@ def apply_gates_raw(batch, spec: AnsatzSpec, params, start=0, stop=None) -> None
         rotation_apply_raw(batch, RotationGate(gens[p], float(params[p])))
 
 
-def prepare_state(spec: AnsatzSpec, params) -> StateVector:
-    if len(params) != parameter_count(spec):
+@lru_cache(maxsize=32)
+def _blocks(spec: AnsatzSpec) -> tuple:
+    """Maximal runs of commuting gates as (kind, start, stop, keys): kind "z"
+    for diagonal gates (keys: Z masks), "x" for single-site X gates on
+    distinct sites (keys: sites)."""
+    runs = []
+    for p, g in enumerate(gate_generators(spec)):
+        if g.e == 0 and g.x == 0:
+            kind, key = "z", g.z
+        elif g.e == 0 and g.z == 0 and g.x.bit_count() == 1:
+            kind, key = "x", g.x.bit_length() - 1
+        else:
+            raise ValueError(f"no block kind for generator {g!r}")
+        last = runs[-1] if runs else None
+        if last and last[0] == kind and (kind == "z" or key not in last[3]):
+            last[2] = p + 1
+            last[3].append(key)
+        else:
+            runs.append([kind, p, p + 1, [key]])
+    return tuple((kind, start, stop, tuple(keys)) for kind, start, stop, keys in runs)
+
+
+@lru_cache(maxsize=None)
+def _factor_tables(width: int):
+    """Bits of each factor index, and the index XOR table: a tensor product
+    of c I - i s X factors has entry (r, c) depending on r ^ c only."""
+    m = np.arange(1 << width)
+    bits = (m[:, None] >> np.arange(width)) & 1
+    return bits, m[:, None] ^ m[None, :]
+
+
+def _x_block(batch, sites, angles, L: int) -> None:
+    """In-place prod_i exp(-i t_i X_i) over distinct sites, one Kronecker
+    factor of adjacent sites at a time: the L sites split evenly into the
+    fewest factors of at most FACTOR_SITES sites (4+4 at L=8, 5+5 at L=10,
+    4+4+4 at L=12). Sites outside the block get angle 0, the identity."""
+    full = np.zeros(L)
+    full[list(sites)] = angles
+    cos, msin = np.cos(full), -1j * np.sin(full)
+    count = -(-L // FACTOR_SITES)
+    factors = []
+    for c in range(count):
+        lo = c * L // count
+        width = (c + 1) * L // count - lo
+        bits, xor = _factor_tables(width)
+        k = np.where(bits, msin[lo : lo + width], cos[lo : lo + width]).prod(axis=1)
+        factors.append((lo, width, k[xor]))  # symmetric
+    # rows go through in groups of at most GROUP_BYTES, which bounds the
+    # matmul temporaries; one small product per row and factor keeps each
+    # BLAS call single-threaded
+    step = max(1, GROUP_BYTES // batch[0].nbytes)
+    for r in range(0, batch.shape[0], step):
+        group = batch[r : r + step]
+        for lo, width, factor in factors:
+            if lo == 0:
+                view = group.reshape(group.shape[0], -1, 1 << width)
+                view[...] = np.matmul(view, factor)
+            else:
+                view = group.reshape(-1, 1 << width, 1 << lo)
+                view[...] = np.matmul(factor, view)
+
+
+def _circuit_pass(spec: AnsatzSpec, params, derivatives: bool) -> np.ndarray:
+    """Row 0 is U|+>; with derivatives, row p+1 is U_>p (-i O_p) U_<=p |+>."""
+    P = parameter_count(spec)
+    if len(params) != P:
         raise ValueError("parameter count mismatch")
-    state = plus_state(spec.L)
-    apply_gates_raw(state.amplitudes, spec, params)
-    return state
+    params = np.asarray(params, dtype=np.float64)
+    L = spec.L
+    dim = 1 << L
+    batch = np.empty((P + 1 if derivatives else 1, dim), dtype=np.complex128)
+    batch[0] = plus_state(L).amplitudes
+    psi = batch[0]
+    for kind, start, stop, keys in _blocks(spec):
+        live = batch[: start + 1]  # psi and the derivative rows made so far
+        angles = params[start:stop]
+        if kind == "z":
+            signs = np.array([_zsigns(z, dim) for z in keys])
+            arg = angles @ signs
+            phase = np.empty(dim, dtype=np.complex128)
+            phase.real, phase.imag = np.cos(arg), -np.sin(arg)
+            live *= phase
+            if derivatives:
+                np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
+        else:
+            _x_block(live, keys, angles, L)
+            if derivatives:  # -i X_site flips one axis of a reshaped view
+                psi_mi = -1j * psi
+                for p, site in enumerate(keys, start + 1):
+                    shape = (dim >> (site + 1), 2, 1 << site)
+                    batch[p].reshape(shape)[...] = psi_mi.reshape(shape)[:, ::-1]
+    return batch
+
+
+def derivative_sweep(spec: AnsatzSpec, params):
+    """(psi, D) with D[p] = d psi / d params[p], all from one circuit pass."""
+    batch = _circuit_pass(spec, params, derivatives=True)
+    return batch[0], batch[1:]
+
+
+def prepare_state(spec: AnsatzSpec, params) -> StateVector:
+    return StateVector(spec.L, _circuit_pass(spec, params, derivatives=False)[0])
 
 
 def prepare_truncated(spec: AnsatzSpec, params, cut: int, include_cut=True) -> StateVector:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzSpec, gate_generators, gates, parameter_count
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import PauliString, WeightedPauliSum, parity_signs
 from .qng import minus_i_times
 from .statevector import (
     RotationGate,
@@ -228,9 +228,7 @@ def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPla
             )
     probs = np.abs(rotated.amplitudes) ** 2
     probs /= probs.sum()
-    mask = np.uint64(obs.x | obs.z)
-    idx = np.arange(probs.size, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & mask) & np.uint64(1)).astype(np.float64)
+    signs = parity_signs(obs.x | obs.z, probs.size)
     rng = circuit_rng(plan.seed, circuit_id)
     counts = rng.multinomial(plan.shots, probs)
     value = float(counts @ signs) / plan.shots

@@ -43,6 +43,8 @@ class ModelParams:
             raise ValueError("L must be positive")
         if self.b not in (0, 1):
             raise ValueError("b must be 0 or 1")
+        if math.isnan(self.v):
+            raise ValueError("v must be a number or +-inf, not NaN")
         if self.j is None:
             object.__setattr__(self, "j", max(1, self.L // 2))
         j_max = self.L if self.b == 1 else self.L - 1
@@ -189,13 +191,16 @@ def exact_ground(p: ModelParams) -> SpectrumResult:
 
 
 def energy_scan(L: int, b: int, v_list, j: int | None = None):
-    """Rows of (v, L/l_B, ground_energy, gap) with l_B = e^{4v}."""
+    """Rows of (v, L/l_B, ground_energy, gap) with l_B = e^{4v}; v = inf is
+    the self-dual defect point, where L/l_B = 0."""
     rows = []
     for v in v_list:
-        if not math.isfinite(v):
-            raise ValueError("scan points must be finite")
         energy, gap = ground_energy_gap(ModelParams(L=L, b=b, v=float(v), j=j))
-        rows.append((float(v), L * math.exp(-4.0 * v), energy, gap))
+        try:
+            ratio = L * math.exp(-4.0 * v)
+        except OverflowError:  # v far below zero
+            ratio = math.inf
+        rows.append((float(v), ratio, energy, gap))
     return rows
 
 

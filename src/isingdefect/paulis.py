@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 _LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 DENSE_LIMIT = 12  # largest register converted to a dense matrix
@@ -208,6 +210,12 @@ class WeightedPauliSum:
         return out
 
 
+def parity_signs(mask: int, dim: int):
+    """(-1)^popcount(k & mask) as float64, for every basis index k < dim."""
+    idx = np.arange(dim, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1)).astype(np.float64)
+
+
 def dense_matrix(H: WeightedPauliSum):
     """Dense matrix of a weighted Pauli sum, real when every term is.
 
@@ -215,8 +223,6 @@ def dense_matrix(H: WeightedPauliSum):
     ground-state solver and Hamiltonian dumps; guarded to DENSE_LIMIT qubits
     (a complex matrix is 268 MB there).
     """
-    import numpy as np
-
     n = H.n_qubits
     if n > DENSE_LIMIT:
         raise ValueError(f"dense conversion guarded to n <= {DENSE_LIMIT}")
@@ -226,7 +232,7 @@ def dense_matrix(H: WeightedPauliSum):
     real = all(c.imag == 0.0 and string.n_y % 2 == 0 for c, string in H.terms())
     mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     for coeff, string in H.terms():
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z)) & np.uint64(1)).astype(np.float64)
+        signs = parity_signs(string.z, dim)
         rows = (idx ^ np.uint64(string.x)).astype(np.int64)
         weight = coeff * _PHASES[string.n_y % 4]
         mat[rows, cols] += (weight.real if real else weight) * signs

@@ -5,9 +5,9 @@ The metric is the real part of
     G_pq = <d_p psi|d_q psi> - <d_p psi|psi><psi|d_q psi>
 
 and the update solves (g + lam I) d = grad, then steps Theta -> Theta - eta d.
-Derivative states come from a single batched sweep: every prefix state rides
-through the remaining gates together, so one optimization step costs one pass
-of the circuit over a (P+1)-row batch instead of P separate circuit runs.
+Derivative states come from `ansatz.derivative_sweep`, one block-fused pass of
+the circuit over a (P+1)-row batch instead of P separate circuit runs; the
+gradient, the metric and the optimizer all read that batch.
 
 Regularization and step-halving are deterministic safeguards: lam starts at
 1e-4 and escalates tenfold when the shifted solve is not positive definite,
@@ -23,7 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .ansatz import AnsatzSpec, gate_generators, init_params, parameter_count, prepare_state
+from .ansatz import (
+    AnsatzSpec,
+    derivative_sweep,
+    gate_generators,
+    init_params,
+    parameter_count,
+    prepare_state,
+)
 from .model import ModelParams, build_hamiltonian, ground_energy_gap
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import (
@@ -58,32 +65,8 @@ def derivative_state(spec: AnsatzSpec, params, p: int) -> StateVector:
     return StateVector(spec.L, amps)
 
 
-def _sweep(spec: AnsatzSpec, params):
-    """(psi, D) with D[p] the derivative state for parameter p, one pass."""
-    gens = gate_generators(spec)
-    P = len(gens)
-    if len(params) != P:
-        raise ValueError("parameter count mismatch")
-    dim = 1 << spec.L
-    D = np.empty((P + 1, dim), dtype=np.complex128)
-    D[0] = plus_state(spec.L).amplitudes
-    for p, g in enumerate(gens):
-        rotation_apply_raw(D[: p + 1], RotationGate(g, float(params[p])))
-        D[p + 1] = pauli_apply_raw(D[0], minus_i_times(g))
-    return D[0], D[1:]
-
-
-def gradient_exact(spec: AnsatzSpec, params, H: WeightedPauliSum) -> np.ndarray:
-    """Component p is 2 Re <d_p psi| H |psi>."""
-    if not H.is_hermitian():
-        raise ValueError("H must be hermitian")
-    psi, D = _sweep(spec, params)
-    hpsi = sum_apply_raw(psi, H)
-    return 2.0 * np.real(D.conj() @ hpsi)
-
-
-def metric_exact(spec: AnsatzSpec, params) -> np.ndarray:
-    psi, D = _sweep(spec, params)
+def _metric(psi, D) -> np.ndarray:
+    """Re G_pq from the sweep's state and derivative rows."""
     P = D.shape[0]
     # Re<d_p|d_q> is the plain dot product of the interleaved real views
     Dr = D.view(np.float64).reshape(P, -1)
@@ -91,6 +74,19 @@ def metric_exact(spec: AnsatzSpec, params) -> np.ndarray:
     w = D.conj() @ psi  # <d_p psi|psi>
     g -= np.outer(w.real, w.real) + np.outer(w.imag, w.imag)
     return 0.5 * (g + g.T)
+
+
+def gradient_exact(spec: AnsatzSpec, params, H: WeightedPauliSum) -> np.ndarray:
+    """Component p is 2 Re <d_p psi| H |psi>."""
+    if not H.is_hermitian():
+        raise ValueError("H must be hermitian")
+    psi, D = derivative_sweep(spec, params)
+    hpsi = sum_apply_raw(psi, H)
+    return 2.0 * np.real(D.conj() @ hpsi)
+
+
+def metric_exact(spec: AnsatzSpec, params) -> np.ndarray:
+    return _metric(*derivative_sweep(spec, params))
 
 
 @dataclass
@@ -197,7 +193,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     trace = []
     best = None
     for _ in range(opts.max_iters):
-        psi, D = _sweep(spec, state.params)
+        psi, D = derivative_sweep(spec, state.params)
         hpsi = sum_apply_raw(psi, H)
         energy = float(np.vdot(psi, hpsi).real)
         grad = 2.0 * np.real(D.conj() @ hpsi)
@@ -213,13 +209,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         if state.grad_norm < opts.grad_tol:
             state.converged, state.stop_reason = True, "grad_tol"
             break
-        if identity is not None:
-            metric = identity
-        else:
-            Dr = D.view(np.float64).reshape(P, -1)
-            metric = Dr @ Dr.T
-            w = D.conj() @ psi
-            metric -= np.outer(w.real, w.real) + np.outer(w.imag, w.imag)
+        metric = identity if identity is not None else _metric(psi, D)
         state = qng_step(state, grad, metric, energy_fn=energy_fn, lam=opts.lam)
         if state.stop_reason:
             break

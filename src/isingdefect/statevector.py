@@ -17,9 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, WeightedPauliSum
-
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+from .paulis import _PHASES, PauliString, WeightedPauliSum, parity_signs
 
 
 @dataclass
@@ -62,9 +60,8 @@ def basis_state(n: int, index: int = 0) -> StateVector:
 
 @lru_cache(maxsize=None)
 def _zsigns(zmask: int, dim: int):
-    """(-1)^parity(k & zmask) over basis indices k, cached read-only."""
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zmask)) & np.uint64(1)).astype(np.float64)
+    """`parity_signs(zmask, dim)`, cached read-only."""
+    signs = parity_signs(zmask, dim)
     signs.setflags(write=False)
     return signs
 

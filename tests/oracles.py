@@ -117,3 +117,32 @@ def dense_ybar(L):
         A = A @ dense_braid(k, L, inverse=True)
     A = (-Q_BRAID) ** L * A
     return A + A.conj().T
+
+
+def dense_ansatz(L, N, boundary, params):
+    """(psi, D) for the layered ansatz from dense kron-chain matrices:
+    psi = U |+>^L and D[p] = U_>p (-i O_p) U_<=p |+>^L.
+
+    The gate layout is rebuilt here (per layer: ZZ bonds with the wrap bond
+    last, then X on every site, then Z on every site), and each gate is
+    cos t I - i sin t O, so no package code enters."""
+    layer = [{i: "Z", i + 1: "Z"} for i in range(L - 1)]
+    if boundary == "periodic":
+        layer.append({L - 1: "Z", 0: "Z"})
+    layer += [{i: "X"} for i in range(L)] + [{i: "Z"} for i in range(L)]
+    ops = [kron_chain(o, L) for o in layer * N]
+    if len(params) != len(ops):
+        raise ValueError("parameter count does not match the layout")
+    dim = 2**L
+    rots = [dense_rotation(O, t) for O, t in zip(ops, params)]
+    prefix = []  # U_<=p |+>
+    state = np.full(dim, dim**-0.5, dtype=complex)
+    for U in rots:
+        state = U @ state
+        prefix.append(state)
+    D = np.empty((len(ops), dim), dtype=complex)
+    suffix = np.eye(dim, dtype=complex)  # U_>p
+    for p in range(len(ops) - 1, -1, -1):
+        D[p] = suffix @ (-1j * (ops[p] @ prefix[p]))
+        suffix = suffix @ rots[p]
+    return state, D

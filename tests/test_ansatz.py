@@ -4,6 +4,7 @@ import pytest
 
 from isingdefect.ansatz import (
     AnsatzSpec,
+    derivative_sweep,
     for_model,
     gate_generators,
     gates,
@@ -13,6 +14,7 @@ from isingdefect.ansatz import (
     prepare_truncated,
 )
 from isingdefect.model import ModelParams
+from isingdefect.qng import derivative_state
 from isingdefect.statevector import plus_state
 
 import oracles
@@ -67,6 +69,33 @@ def test_matches_dense_gate_product(boundary):
     got = prepare_state(spec, params)
     assert np.allclose(got.amplitudes, psi, atol=1e-12)
     assert got.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_fused_kernel_matches_dense_oracle(L, boundary):
+    # L=2 periodic has the bond (0, 1) twice per layer
+    for N in (1, 2, 3):
+        spec = AnsatzSpec(L=L, N=N, boundary=boundary)
+        rng = np.random.default_rng([L, N])
+        params = rng.uniform(-np.pi, np.pi, parameter_count(spec))
+        want_psi, want_D = oracles.dense_ansatz(L, N, boundary, params)
+        psi, D = derivative_sweep(spec, params)
+        assert np.max(np.abs(psi - want_psi)) < 1e-12
+        assert np.max(np.abs(D - want_D)) < 1e-12
+        got = prepare_state(spec, params).amplitudes
+        assert np.max(np.abs(got - want_psi)) < 1e-12
+
+
+@pytest.mark.parametrize("L, N", [(8, 4), (12, 1)])  # 2 and 3 Kronecker factors
+def test_fused_sweep_matches_single_parameter_route(L, N):
+    spec = AnsatzSpec(L=L, N=N, boundary="periodic")
+    params = np.random.default_rng(L).uniform(-np.pi, np.pi, parameter_count(spec))
+    psi, D = derivative_sweep(spec, params)
+    assert np.max(np.abs(psi - prepare_state(spec, params).amplitudes)) < 1e-12
+    for p in range(parameter_count(spec)):
+        want = derivative_state(spec, params, p).amplitudes
+        assert np.max(np.abs(D[p] - want)) < 1e-12
 
 
 def test_truncation_prefixes():

@@ -14,7 +14,7 @@ from isingdefect.cli import (
     run,
     validate,
 )
-from isingdefect.model import ModelParams, exact_ground
+from isingdefect.model import ModelParams, exact_ground, ground_energy_gap
 from isingdefect.observables import correlator_profile
 from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
@@ -188,6 +188,19 @@ def test_run_energy_scan_past_the_dense_limit(tmp_path):
         run(cfg, tmp_path / f"b{b}")
         row = (tmp_path / f"b{b}" / f"scan_L{L}.csv").read_text().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(want, abs=1e-12)
+
+
+def test_energy_scan_reaches_the_self_dual_point(tmp_path, capsys):
+    # v = -200 puts L e^{-4v} past the float range: the ratio is written inf
+    cfg = _write_cfg(tmp_path, "kind = energy-scan\nL = 8\nb = 1\nv = 0,inf,-200\n")
+    assert main(["validate", cfg]) == 0
+    assert "ok" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "scan_L8.csv").read_text().splitlines()]
+    for row, v, ratio in ((rows[2], math.inf, "0"), (rows[3], -200.0, "inf")):
+        energy, gap = ground_energy_gap(ModelParams(L=8, b=1, v=v))
+        assert row[1:] == [ratio, f"{energy:.17g}", f"{gap:.17g}"]
 
 
 def test_runtime_never_builds_a_dense_matrix(tmp_path, monkeypatch):

@@ -180,7 +180,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         exact_ground(ModelParams(L=15, b=0))
     with pytest.raises(ValueError):
-        energy_scan(4, 0, [math.inf])
+        ModelParams(L=4, v=math.nan)
+    with pytest.raises(ValueError):
+        energy_scan(4, 0, [math.nan])  # +-inf are scan points, NaN is not
 
 
 def test_default_defect_sits_mid_chain():
