@@ -11,10 +11,11 @@ bond count (L-1 open, L periodic, the wrap bond Z_L Z_1 last). One angle per
 gate, R(t) = exp(-i t G), so the count is (3L-1)N open and 3LN periodic.
 
 Circuit passes run block by block. Consecutive gates that commute form one
-block: a diagonal block (the Z fields of layer a with the ZZ bonds of layer
-a+1) is one phase-vector multiply exp(-i sum_p t_p s_p), and an X block
-(one X rotation per site) is a few Kronecker factors of at most
-FACTOR_SITES adjacent sites, applied by matmul on a reshaped view. A derivative insertion -i O_p
+block (`gate_runs`, which `zne` shares for folded gate lists): a diagonal
+block (the Z fields of layer a with the ZZ bonds of layer a+1) is one
+phase-vector multiply exp(-i sum_p t_p s_p), and an X block (one X rotation
+per site) is a few Kronecker factors of at most FACTOR_SITES adjacent sites,
+applied by matmul on a reshaped view. A derivative insertion -i O_p
 commutes with the rest of its block, so `derivative_sweep` writes all of a
 block's derivative rows at once, at the block's end.
 """
@@ -88,26 +89,36 @@ def apply_gates_raw(batch, spec: AnsatzSpec, params, start=0, stop=None) -> None
         rotation_apply_raw(batch, RotationGate(gens[p], float(params[p])))
 
 
-@lru_cache(maxsize=32)
-def _blocks(spec: AnsatzSpec) -> tuple:
+def gate_runs(generators, noisy=None) -> tuple:
     """Maximal runs of commuting gates as (kind, start, stop, keys): kind "z"
     for diagonal gates (keys: Z masks), "x" for single-site X gates on
-    distinct sites (keys: sites)."""
+    distinct sites (keys: sites), "g" for any other generator, one gate per
+    run (keys: the generator). A run ends after every gate p with noisy[p]
+    set, so only a run's last gate can be noisy."""
     runs = []
-    for p, g in enumerate(gate_generators(spec)):
+    closed = True
+    for p, g in enumerate(generators):
         if g.e == 0 and g.x == 0:
             kind, key = "z", g.z
         elif g.e == 0 and g.z == 0 and g.x.bit_count() == 1:
             kind, key = "x", g.x.bit_length() - 1
         else:
-            raise ValueError(f"no block kind for generator {g!r}")
+            kind, key = "g", g
         last = runs[-1] if runs else None
-        if last and last[0] == kind and (kind == "z" or key not in last[3]):
+        if (not closed and last[0] == kind != "g"
+                and (kind == "z" or key not in last[3])):
             last[2] = p + 1
             last[3].append(key)
         else:
             runs.append([kind, p, p + 1, [key]])
+        closed = noisy is not None and bool(noisy[p])
     return tuple((kind, start, stop, tuple(keys)) for kind, start, stop, keys in runs)
+
+
+@lru_cache(maxsize=32)
+def _blocks(spec: AnsatzSpec) -> tuple:
+    """The ansatz's runs: every gate is a Z or a single-site X rotation."""
+    return gate_runs(gate_generators(spec))
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +161,29 @@ def _x_block(batch, sites, angles, L: int) -> None:
                 view[...] = np.matmul(factor, view)
 
 
+def _z_block(batch, keys, angles, dim: int) -> np.ndarray:
+    """In-place exp(-i sum_p t_p Z_p) over diagonal strings (Z masks), as
+    one phase-vector multiply; returns the sign rows s_p."""
+    signs = np.array([_zsigns(z, dim) for z in keys])
+    arg = angles @ signs
+    phase = np.empty(dim, dtype=np.complex128)
+    phase.real, phase.imag = np.cos(arg), -np.sin(arg)
+    batch *= phase
+    return signs
+
+
+def apply_run(batch, run, angles, L: int) -> None:
+    """In-place gates of one `gate_runs` run on a raw (rows, 2^L) batch;
+    `angles` are the run's angles in firing order."""
+    kind, _, _, keys = run
+    if kind == "z":
+        _z_block(batch, keys, angles, 1 << L)
+    elif kind == "x":
+        _x_block(batch, keys, angles, L)
+    else:
+        rotation_apply_raw(batch, RotationGate(keys[0], float(angles[0])))
+
+
 def _circuit_pass(spec: AnsatzSpec, params, derivatives: bool) -> np.ndarray:
     """Row 0 is U|+>; with derivatives, row p+1 is U_>p (-i O_p) U_<=p |+>."""
     P = parameter_count(spec)
@@ -165,11 +199,7 @@ def _circuit_pass(spec: AnsatzSpec, params, derivatives: bool) -> np.ndarray:
         live = batch[: start + 1]  # psi and the derivative rows made so far
         angles = params[start:stop]
         if kind == "z":
-            signs = np.array([_zsigns(z, dim) for z in keys])
-            arg = angles @ signs
-            phase = np.empty(dim, dtype=np.complex128)
-            phase.real, phase.imag = np.cos(arg), -np.sin(arg)
-            live *= phase
+            signs = _z_block(live, keys, angles, dim)
             if derivatives:
                 np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
         else:

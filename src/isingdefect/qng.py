@@ -65,14 +65,22 @@ def derivative_state(spec: AnsatzSpec, params, p: int) -> StateVector:
     return StateVector(spec.L, amps)
 
 
-def _metric(psi, D) -> np.ndarray:
-    """Re G_pq from the sweep's state and derivative rows."""
+def _overlaps(D, *vectors) -> np.ndarray:
+    """(P, k) array of Re<d_p|v> for the k vectors v: one real GEMM of the
+    interleaved real views, no conjugated copy of D."""
+    P = D.shape[0]
+    Dr = D.view(np.float64).reshape(P, -1)
+    return Dr @ np.array(vectors).view(np.float64).T
+
+
+def _metric(D, w) -> np.ndarray:
+    """Re G_pq from the derivative rows and w = <d_p psi|psi> as the
+    columns (Re, Im), i.e. `_overlaps(D, psi, -1j * psi)`."""
     P = D.shape[0]
     # Re<d_p|d_q> is the plain dot product of the interleaved real views
     Dr = D.view(np.float64).reshape(P, -1)
     g = Dr @ Dr.T
-    w = D.conj() @ psi  # <d_p psi|psi>
-    g -= np.outer(w.real, w.real) + np.outer(w.imag, w.imag)
+    g -= np.outer(w[:, 0], w[:, 0]) + np.outer(w[:, 1], w[:, 1])
     return 0.5 * (g + g.T)
 
 
@@ -81,12 +89,12 @@ def gradient_exact(spec: AnsatzSpec, params, H: WeightedPauliSum) -> np.ndarray:
     if not H.is_hermitian():
         raise ValueError("H must be hermitian")
     psi, D = derivative_sweep(spec, params)
-    hpsi = sum_apply_raw(psi, H)
-    return 2.0 * np.real(D.conj() @ hpsi)
+    return 2.0 * _overlaps(D, sum_apply_raw(psi, H))[:, 0]
 
 
 def metric_exact(spec: AnsatzSpec, params) -> np.ndarray:
-    return _metric(*derivative_sweep(spec, params))
+    psi, D = derivative_sweep(spec, params)
+    return _metric(D, _overlaps(D, psi, -1j * psi))
 
 
 @dataclass
@@ -196,7 +204,9 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         psi, D = derivative_sweep(spec, state.params)
         hpsi = sum_apply_raw(psi, H)
         energy = float(np.vdot(psi, hpsi).real)
-        grad = 2.0 * np.real(D.conj() @ hpsi)
+        # columns Re<d_p|psi>, Im<d_p|psi> and Re<d_p|H psi>
+        w = _overlaps(D, psi, -1j * psi, hpsi)
+        grad = 2.0 * w[:, 2]
         state.energy = energy
         state.grad_norm = float(np.linalg.norm(grad))
         rel = math.nan if target is None else abs(energy - target) / abs(target)
@@ -209,7 +219,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         if state.grad_norm < opts.grad_tol:
             state.converged, state.stop_reason = True, "grad_tol"
             break
-        metric = identity if identity is not None else _metric(psi, D)
+        metric = identity if identity is not None else _metric(D, w)
         state = qng_step(state, grad, metric, energy_fn=energy_fn, lam=opts.lam)
         if state.stop_reason:
             break

@@ -2,10 +2,20 @@
 
 Noise is stochastic-Pauli (depolarizing) per two-qubit gate: after the gate
 fires, with probability p2 one of the 15 non-identity two-qubit Paulis on the
-gate's support is applied, drawn uniformly. The channel average is estimated
-by trajectory Monte Carlo: a batch of pure statevectors evolves through the
-circuit, each sampling its own error record, and the observable is averaged
-across the batch. Density matrices at 4^L are never formed.
+gate's support is applied, drawn uniformly (p1 and the 3 one-site Paulis for
+single-qubit gates). The channel average is estimated by trajectory Monte
+Carlo, each trajectory sampling its own error record, and the observable is
+averaged across trajectories. Density matrices at 4^L are never formed.
+
+Error records come first. A chunk of trajectories draws every record
+before any state evolves, in circuit order: per noisy gate, one uniform per
+row against p, then one error index per hit row. One clean statevector then
+runs through the circuit. A trajectory enters the batch as a copy of the
+clean state at its first error, so the batch holds only trajectories that
+have erred, and those that never err share the clean state's value. Gates
+go in maximal commuting runs (`ansatz.gate_runs`) that end at each noisy
+gate: a diagonal run is one phase vector, single-site X rotations are one
+Kronecker-factor pass, and any other generator goes gate by gate.
 
 Amplification folds trailing two-qubit gates G -> G G^dag G, which leaves
 the noiseless circuit exact while multiplying its noise exposure. With n2
@@ -16,17 +26,17 @@ honest abscissa and is what the extrapolation fits against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, gates as ansatz_gates
+from .ansatz import AnsatzSpec, apply_run, gate_runs, gates as ansatz_gates
 from .measure import EstimateRecord
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import (
     RotationGate,
     pauli_apply_raw,
     plus_state,
-    rotation_apply_raw,
     sum_apply_raw,
 )
 
@@ -111,22 +121,30 @@ def fold_gates(circuit: Circuit, factor: float) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(out))
 
 
+def _runs_and_angles(circuit: Circuit, noisy=None):
+    """`ansatz.gate_runs` of the circuit's generators, and its angles."""
+    return (gate_runs([g.generator for g in circuit.gates], noisy),
+            np.array([g.angle for g in circuit.gates], dtype=np.float64))
+
+
 def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
-    state = plus_state(circuit.n_qubits)
-    for g in circuit.gates:
-        rotation_apply_raw(state.amplitudes, g)
-    val = np.vdot(state.amplitudes, sum_apply_raw(state.amplitudes, obs))
+    runs, angles = _runs_and_angles(circuit)
+    amps = plus_state(circuit.n_qubits).amplitudes
+    for run in runs:
+        apply_run(amps[None], run, angles[run[1] : run[2]], circuit.n_qubits)
+    val = np.vdot(amps, sum_apply_raw(amps, obs))
     return float(val.real)
 
 
-def _error_strings(generator: PauliString):
+@lru_cache(maxsize=None)
+def _error_strings(generator: PauliString) -> tuple:
     """The 15 (3 for one site) non-identity Paulis on the generator support."""
     sites = sorted(generator.ops)
     strings = []
     if len(sites) == 1:
         for letter in _LETTERS[1:]:
             strings.append(PauliString.from_ops({sites[0]: letter}))
-        return strings
+        return tuple(strings)
     a, b = sites
     for la in _LETTERS:
         for lb in _LETTERS:
@@ -138,7 +156,26 @@ def _error_strings(generator: PauliString):
             if lb != "I":
                 ops[b] = lb
             strings.append(PauliString.from_ops(ops))
-    return strings
+    return tuple(strings)
+
+
+def _error_records(rng, rows: int, noisy) -> dict:
+    """Every row's error record, drawn in circuit order. For each noisy gate
+    (key, p, errors) that hits a row: key -> (hit rows, error picks, the hit
+    rows whose first error this is, errors)."""
+    unhit = np.ones(rows, dtype=bool)
+    records = {}
+    for key, p, errors in noisy:
+        hit = rng.random(rows) < p
+        n_hit = int(hit.sum())
+        if n_hit == 0:
+            continue
+        picks = rng.integers(0, len(errors), n_hit)
+        hit_rows = np.flatnonzero(hit)
+        first = hit_rows[unhit[hit_rows]]
+        unhit[first] = False
+        records[key] = (hit_rows, picks, first, errors)
+    return records
 
 
 def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
@@ -149,13 +186,13 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
         raise ValueError("need at least one trajectory")
     if not obs.is_hermitian():
         raise ValueError("observable must be hermitian")
-    dim = 1 << circuit.n_qubits
-    base = plus_state(circuit.n_qubits).amplitudes
-    gate_info = []
-    for g in circuit.gates:
-        w = _weight(g)
-        p = noise.p2 if w == 2 else noise.p1
-        gate_info.append((g, p, _error_strings(g.generator) if p > 0 else None))
+    L = circuit.n_qubits
+    probs = [noise.p2 if _weight(g) == 2 else noise.p1 for g in circuit.gates]
+    runs, angles = _runs_and_angles(circuit, [p > 0 for p in probs])
+    # a noisy gate ends its run: (run index, p, error strings) per noisy gate
+    noisy = [(i, probs[stop - 1], _error_strings(circuit.gates[stop - 1].generator))
+             for i, (_, _, stop, _) in enumerate(runs) if probs[stop - 1] > 0]
+    base = plus_state(L).amplitudes
 
     total = 0
     pieces = []
@@ -163,21 +200,31 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
     while total < trajectories:
         rows = min(chunk, trajectories - total)
         rng = np.random.default_rng([seed, stream, chunk_index])
-        B = np.tile(base, (rows, 1))
-        for g, p, errors in gate_info:
-            rotation_apply_raw(B, g)
-            if not errors:
+        records = _error_records(rng, rows, noisy)
+        # B[0] is the clean trajectory; row r enters B[pos[r]] as a copy of
+        # it at its first error, rows entering in order of first error
+        joins = [first for _, _, first, _ in records.values()]
+        order = np.concatenate(joins) if joins else np.empty(0, dtype=np.intp)
+        pos = np.empty(rows, dtype=np.intp)
+        pos[order] = np.arange(1, order.size + 1)
+        B = np.empty((order.size + 1, base.size), dtype=np.complex128)
+        B[0] = base
+        live = 1
+        for i, run in enumerate(runs):
+            apply_run(B[:live], run, angles[run[1] : run[2]], L)
+            if i not in records:
                 continue
-            hit = rng.random(rows) < p
-            n_hit = int(hit.sum())
-            if n_hit == 0:
-                continue
-            picks = rng.integers(0, len(errors), n_hit)
-            hit_rows = np.flatnonzero(hit)
+            hit_rows, picks, first, errors = records[i]
+            B[live : live + first.size] = B[0]
+            live += first.size
+            hit_pos = pos[hit_rows]
             for e in np.unique(picks):
-                sel = hit_rows[picks == e]
+                sel = hit_pos[picks == e]
                 B[sel] = pauli_apply_raw(B[sel], errors[e])
-        pieces.append(np.einsum("ij,ij->i", B.conj(), sum_apply_raw(B, obs)).real)
+        values = np.einsum("ij,ij->i", B.conj(), sum_apply_raw(B, obs)).real
+        piece = np.full(rows, values[0])  # rows that never err
+        piece[order] = values[1:]
+        pieces.append(piece)
         total += rows
         chunk_index += 1
     values = np.concatenate(pieces)

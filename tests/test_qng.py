@@ -6,6 +6,7 @@ import pytest
 
 from isingdefect.ansatz import (
     AnsatzSpec,
+    derivative_sweep,
     gate_generators,
     init_params,
     parameter_count,
@@ -22,7 +23,7 @@ from isingdefect.qng import (
     qng_step,
     trace_to_csv,
 )
-from isingdefect.statevector import expectation, inner
+from isingdefect.statevector import expectation, inner, sum_apply_raw
 
 
 def random_point(spec, seed, scale=1.2):
@@ -170,6 +171,20 @@ def test_metric_symmetric_and_psd():
         g = metric_exact(spec, random_point(spec, seed))
         assert np.max(np.abs(g - g.T)) < 1e-12
         assert np.linalg.eigvalsh(g).min() > -1e-10
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_gradient_and_metric_match_complex_overlap_form(L):
+    # the real-GEMM overlaps against 2 Re D* H psi and Re(D* D) - Re(w* w^T)
+    spec = AnsatzSpec(L=L, N=L // 2, boundary="periodic")
+    params = random_point(spec, L, scale=np.pi)
+    H = build_hamiltonian(ModelParams(L=L, b=1, v=0.7))
+    psi, D = derivative_sweep(spec, params)
+    w = D.conj() @ psi
+    grad = 2.0 * np.real(D.conj() @ sum_apply_raw(psi, H))
+    metric = np.real(D.conj() @ D.T) - np.real(np.outer(w.conj(), w))
+    assert np.max(np.abs(gradient_exact(spec, params, H) - grad)) < 1e-12
+    assert np.max(np.abs(metric_exact(spec, params) - metric)) < 1e-12
 
 
 def test_qng_step_identity_metric_is_vanilla_descent():

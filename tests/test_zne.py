@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from isingdefect.ansatz import AnsatzSpec, init_params
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
 from isingdefect.paulis import PauliString, WeightedPauliSum
@@ -219,3 +221,66 @@ def test_streams_differ_across_factors():
     a = noisy_expectation(circ, H, noise, trajectories=400, seed=6, stream=0)
     b = noisy_expectation(circ, H, noise, trajectories=400, seed=6, stream=1)
     assert a.value != b.value
+
+
+def _random_circuit(L, seed):
+    spec = AnsatzSpec(L=L, N=2, boundary="periodic" if L % 2 else "open")
+    rng = np.random.default_rng(seed)
+    return ansatz_circuit(spec, rng.uniform(-np.pi, np.pi, len(init_params(spec))))
+
+
+def _assert_matches_trajectory_oracle(circ, obs, noise, trajectories, chunk, seed):
+    rec = noisy_expectation(circ, obs, noise, trajectories, seed=seed, stream=2, chunk=chunk)
+    values = oracles.trajectory_values(circ, obs, noise.p2, noise.p1, trajectories,
+                                       seed=seed, stream=2, chunk=chunk)
+    assert abs(rec.value - values.mean()) < 1e-12
+    assert abs(rec.std_error - values.std() / np.sqrt(trajectories)) < 1e-12
+
+
+_NOISES = (NoiseModel(p2=0.0), NoiseModel(p2=0.02), NoiseModel(p2=0.9),
+           NoiseModel(p2=0.02, p1=0.05))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@pytest.mark.parametrize("factor", [1.0, 2.0, 3.0])
+def test_noisy_expectation_matches_trajectory_oracle(L, factor):
+    # same streams, same error records, one dense row at a time in the oracle
+    circ = fold_gates(_random_circuit(L, seed=L), factor)
+    H = build_hamiltonian(ModelParams(L=L, b=L % 2, v=0.7))
+    for chunk in (1, 7, 512):
+        for noise in _NOISES:
+            _assert_matches_trajectory_oracle(circ, H, noise, 30, chunk, seed=L)
+
+
+def test_generic_generators_match_trajectory_oracle():
+    # Y and XX rotations take the gate-by-gate path between fused runs
+    gates = (
+        RotationGate(PauliString.from_ops({0: "Z", 1: "Z"}), 0.4),
+        RotationGate(PauliString.from_ops({1: "Y"}), 0.9),
+        RotationGate(PauliString.from_ops({0: "X"}), -0.3),
+        RotationGate(PauliString.from_ops({2: "X"}), 0.6),
+        RotationGate(PauliString.from_ops({0: "X", 2: "X"}), 1.1),
+        RotationGate(PauliString.from_ops({2: "Z"}), 0.2),
+        RotationGate(PauliString.from_ops({1: "Z", 2: "Z"}), -0.7),
+        RotationGate(PauliString.from_ops({1: "X"}), 0.5),
+    )
+    circ = Circuit(3, gates)
+    H = build_hamiltonian(ModelParams(L=3, b=1, v=0.7))
+    for chunk in (1, 7, 512):
+        for noise in _NOISES:
+            _assert_matches_trajectory_oracle(circ, H, noise, 40, chunk, seed=4)
+    clean = oracles.channel_expectation(circ, H, 0.0)
+    assert noiseless_expectation(circ, H) == pytest.approx(clean, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0, 3.0])
+def test_trajectory_mean_matches_exact_channel(factor):
+    # 2e4 trajectories at full depth against the density-matrix channel
+    noise = NoiseModel(p2=0.05)
+    circ = fold_gates(_random_circuit(4, seed=12), factor)
+    H = build_hamiltonian(ModelParams(L=4, b=0, v=0.7))
+    rec = noisy_expectation(circ, H, noise, 20_000, seed=3, stream=int(factor))
+    exact = oracles.channel_expectation(circ, H, noise.p2)
+    clean = noiseless_expectation(circ, H)
+    assert abs(rec.value - exact) < 4 * rec.std_error
+    assert abs(exact - clean) > 4 * rec.std_error  # the noise bias is resolved
