@@ -11,16 +11,13 @@ from .ansatz import (
     init_params,
     parameter_count,
     prepare_state,
-    prepare_truncated,
 )
 from .measure import (
     EstimateRecord,
-    Prefix,
     ShotPlan,
     circuit_rng,
     estimates_to_csv,
     gradient_shot,
-    hadamard_test,
     metric_shot,
     sample_pauli_expectation,
 )
@@ -45,7 +42,6 @@ from .observables import (
     spin_flip_string,
     ybar_exact,
     ybar_hadamard,
-    ybar_result,
 )
 from .paulis import PauliString, WeightedPauliSum, commutator_norm, dense_matrix
 from .qng import (

@@ -49,11 +49,6 @@ class AnsatzSpec:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
 
 
-def for_model(params) -> AnsatzSpec:
-    """Spec matched to a model: boundary from b, depth N = L // 2."""
-    return AnsatzSpec(L=params.L, N=max(1, params.L // 2), boundary=params.boundary)
-
-
 def parameter_count(spec: AnsatzSpec) -> int:
     bonds = spec.L if spec.boundary == "periodic" else spec.L - 1
     return spec.N * (bonds + 2 * spec.L)
@@ -79,14 +74,6 @@ def gates(spec: AnsatzSpec, params) -> list[RotationGate]:
     if len(params) != len(gens):
         raise ValueError(f"expected {len(gens)} parameters, got {len(params)}")
     return [RotationGate(g, float(t)) for g, t in zip(gens, params)]
-
-
-def apply_gates_raw(batch, spec: AnsatzSpec, params, start=0, stop=None) -> None:
-    """In-place gates [start, stop) on a raw amplitude batch."""
-    gens = gate_generators(spec)
-    stop = len(gens) if stop is None else stop
-    for p in range(start, stop):
-        rotation_apply_raw(batch, RotationGate(gens[p], float(params[p])))
 
 
 def gate_runs(generators, noisy=None) -> tuple:
@@ -220,18 +207,6 @@ def derivative_sweep(spec: AnsatzSpec, params):
 
 def prepare_state(spec: AnsatzSpec, params) -> StateVector:
     return StateVector(spec.L, _circuit_pass(spec, params, derivatives=False)[0])
-
-
-def prepare_truncated(spec: AnsatzSpec, params, cut: int, include_cut=True) -> StateVector:
-    """State after gates 0..cut (inclusive) or 0..cut-1 (include_cut=False)."""
-    P = parameter_count(spec)
-    if not 0 <= cut < P:
-        raise ValueError("cut outside parameter range")
-    if len(params) != P:
-        raise ValueError("parameter count mismatch")
-    state = plus_state(spec.L)
-    apply_gates_raw(state.amplitudes, spec, params, 0, cut + 1 if include_cut else cut)
-    return state
 
 
 def init_params(spec: AnsatzSpec, seed: int = 0) -> np.ndarray:

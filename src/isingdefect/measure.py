@@ -1,10 +1,16 @@
-"""Ancilla Hadamard-test circuits with simulated finite-shot readout.
+"""Ancilla Hadamard tests with simulated finite-shot readout.
 
-Estimation circuits run on an (L+1)-qubit register, ancilla on the top wire
-starting in |+>. Uncontrolled gate segments act on both ancilla branches;
-controlled insertions act on the ancilla=1 branch only. Measuring the ancilla
-in X estimates Re<phi_0|phi_1>, in Y estimates Im<phi_0|phi_1>, where
-phi_0/phi_1 are the branch states.
+A test runs on an (L+1)-qubit register, ancilla on the top wire starting in
+|+>: controlled insertions act on the ancilla=1 branch only, and measuring
+the ancilla in X gives Re<phi_0|phi_1>, in Y Im<phi_0|phi_1>, where
+phi_0/phi_1 are the branch states. For the QNG gradient and metric tests
+every such mean is an overlap of the derivative states d_p = d psi/d theta_p,
+so `gradient_shot` and `metric_shot` read all of them from one
+`ansatz.derivative_sweep` and sample each mean under its circuit id:
+
+    grad:p{p}:t{t}    X   Re<psi| h_t |d_p>  = Re<d_p|h_t psi>
+    metric:y:q{q}     Y   Im<psi|d_q>        = -Im<d_q|psi>
+    metric:x:p{p}q{q} X   Re<d_q|d_p>
 
 Shot noise is binomial on the +/-1 ancilla outcome. Every circuit owns an
 independent RNG stream derived from (plan.seed, sha256(circuit_id)), so runs
@@ -18,27 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, gate_generators, gates, parameter_count
+from .ansatz import AnsatzSpec, derivative_sweep
 from .paulis import PauliString, WeightedPauliSum, parity_signs
-from .qng import minus_i_times
+from .qng import _gram, _overlaps
 from .statevector import (
     RotationGate,
     StateVector,
-    apply_controlled,
     apply_rotation,
+    pauli_apply_raw,
     pauli_expectation,
-    plus_state,
-    rotation_apply_raw,
 )
-
-_BASES = ("X", "Y")
 
 
 @dataclass(frozen=True)
 class ShotPlan:
     shots: int = 1024
     seed: int = 0
-    basis: str = "X"
     analytic: bool = False
 
     def __post_init__(self):
@@ -46,8 +47,6 @@ class ShotPlan:
             raise ValueError("shots must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.basis not in _BASES:
-            raise ValueError("basis must be X or Y")
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,6 @@ class EstimateRecord:
     shots_used: int
     circuit_id: str
     basis: str = "X"
-
-
-@dataclass(frozen=True)
-class Prefix:
-    """Register-state recipe: gate list applied to |+>^n."""
-
-    n_qubits: int
-    gates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
 
 
 def circuit_rng(seed: int, circuit_id: str) -> np.random.Generator:
@@ -86,76 +74,27 @@ def _sample_pm1(exact: float, plan: ShotPlan, circuit_id: str, basis: str) -> Es
     return EstimateRecord(value, std_error, plan.shots, circuit_id, basis)
 
 
-def _interleaved_state(prefix: Prefix, insertions) -> StateVector:
-    """|+>_anc branch circuit: prefix gates with controlled ops woven in."""
-    n = prefix.n_qubits
-    state = plus_state(n + 1)
-    cursor = 0
-    for pos, op in insertions:
-        if not cursor <= pos <= len(prefix.gates):
-            raise ValueError("insertion positions must be sorted and in range")
-        for g in prefix.gates[cursor:pos]:
-            rotation_apply_raw(state.amplitudes, g)
-        state = apply_controlled(state, n, op)
-        cursor = pos
-    for g in prefix.gates[cursor:]:
-        rotation_apply_raw(state.amplitudes, g)
-    return state
-
-
-def _ancilla_mean(state: StateVector, basis: str) -> float:
-    anc = state.n_qubits - 1
-    return pauli_expectation(state, PauliString.from_ops({anc: basis}))
-
-
-def sample_ancilla(state: StateVector, plan: ShotPlan, basis: str,
-                   circuit_id: str) -> EstimateRecord:
-    """Readout of the top-wire ancilla of an already-built test state."""
-    if basis not in _BASES:
-        raise ValueError("basis must be X or Y")
-    return _sample_pm1(_ancilla_mean(state, basis), plan, circuit_id, basis)
-
-
-def hadamard_test(prefix: Prefix, insertions, plan: ShotPlan, basis: str | None = None,
-                  circuit_id: str | None = None) -> EstimateRecord:
-    """One ancilla test. insertions: ordered (position, op) pairs; position k
-    fires after the first k prefix gates. op is a PauliString (any unit
-    phase), a RotationGate, or a unit-modulus scalar."""
-    basis = basis or plan.basis
-    if basis not in _BASES:
-        raise ValueError("basis must be X or Y")
-    if circuit_id is None:
-        tags = ",".join(f"{pos}:{op!r}" for pos, op in insertions)
-        circuit_id = f"ht:{basis}:{len(prefix.gates)}g:{tags}"
-    state = _interleaved_state(prefix, insertions)
-    return _sample_pm1(_ancilla_mean(state, basis), plan, circuit_id, basis)
+def sample_ancilla(state: StateVector, plan: ShotPlan, circuit_id: str) -> EstimateRecord:
+    """X-basis readout of the top-wire ancilla of an already-built test state."""
+    anc = PauliString.from_ops({state.n_qubits - 1: "X"})
+    return _sample_pm1(pauli_expectation(state, anc), plan, circuit_id, "X")
 
 
 def gradient_shot(spec: AnsatzSpec, params, H: WeightedPauliSum, plan: ShotPlan,
                   records: list | None = None) -> np.ndarray:
-    """Component p = 2 sum_j c_j mean_j over per-term X-basis tests."""
+    """Component p = 2 sum_t c_t m_pt over per-term X-basis tests, with
+    means m_pt = Re<d_p|h_t psi>."""
     if not H.is_hermitian():
         raise ValueError("H must be hermitian")
-    gens = gate_generators(spec)
-    P = parameter_count(spec)
-    circuit = gates(spec, params)
-    terms = [(c.real, s) for c, s in H.terms()]
-    grad = np.zeros(P)
-    for p in range(P):
-        # branches share the state up to the final controlled term
-        base = plus_state(spec.L + 1)
-        for g in circuit[: p + 1]:
-            rotation_apply_raw(base.amplitudes, g)
-        base = apply_controlled(base, spec.L, minus_i_times(gens[p]))
-        for g in circuit[p + 1 :]:
-            rotation_apply_raw(base.amplitudes, g)
-        for jn, (c, h) in enumerate(terms):
+    terms = [(c.real, h) for c, h in H.terms()]
+    psi, D = derivative_sweep(spec, params)
+    means = _overlaps(D, *[pauli_apply_raw(psi, h) for _, h in terms])
+    grad = np.zeros(D.shape[0])
+    for p, row in enumerate(means):
+        for t, (c, _) in enumerate(terms):
             if c == 0.0:
                 continue
-            closed = apply_controlled(base, spec.L, h)
-            rec = _sample_pm1(
-                _ancilla_mean(closed, "X"), plan, f"grad:p{p}:t{jn}", "X"
-            )
+            rec = _sample_pm1(row[t], plan, f"grad:p{p}:t{t}", "X")
             if records is not None:
                 records.append(rec)
             grad[p] += 2.0 * c * rec.value
@@ -166,39 +105,22 @@ def metric_shot(spec: AnsatzSpec, params, plan: ShotPlan,
                 records: list | None = None) -> np.ndarray:
     """g_pq from X-basis double-insertion tests minus the rank-one Y-basis
     correction; upper triangle measured, mirrored by symmetry."""
-    gens = gate_generators(spec)
-    P = parameter_count(spec)
-    circuit = gates(spec, params)
+    psi, D = derivative_sweep(spec, params)
+    P = D.shape[0]
+    x = _gram(D)  # Re<d_p|d_q>
+    y_mean = _overlaps(D, 1j * psi)[:, 0]  # Re<d_q|i psi> = Im<psi|d_q>
 
     def keep(rec):
         if records is not None:
             records.append(rec)
         return rec.value
 
-    y = np.zeros(P)
-    for q in range(P):
-        state = plus_state(spec.L + 1)
-        for g in circuit[: q + 1]:
-            rotation_apply_raw(state.amplitudes, g)
-        state = apply_controlled(state, spec.L, minus_i_times(gens[q]))
-        y[q] = keep(
-            _sample_pm1(_ancilla_mean(state, "Y"), plan, f"metric:y:q{q}", "Y")
-        )
-
+    y = np.array([keep(_sample_pm1(y_mean[q], plan, f"metric:y:q{q}", "Y"))
+                  for q in range(P)])
     g = np.empty((P, P))
     for p in range(P):
-        run = plus_state(spec.L + 1)
-        for gq in circuit[: p + 1]:
-            rotation_apply_raw(run.amplitudes, gq)
-        run = apply_controlled(run, spec.L, minus_i_times(gens[p]))
         for q in range(p, P):
-            if q > p:
-                rotation_apply_raw(run.amplitudes, circuit[q])
-            closed = apply_controlled(run, spec.L, PauliString(
-                gens[q].x, gens[q].z, (gens[q].e + 1) % 4))  # +i O_q
-            val = keep(
-                _sample_pm1(_ancilla_mean(closed, "X"), plan, f"metric:x:p{p}q{q}", "X")
-            )
+            val = keep(_sample_pm1(x[p, q], plan, f"metric:x:p{p}q{q}", "X"))
             g[p, q] = g[q, p] = val - y[p] * y[q]
     return g
 

@@ -158,7 +158,7 @@ def ybar_hadamard(spec: AnsatzSpec, params, plan: ShotPlan,
         circuit_id = f"ybar:L{spec.L}"
     state = prepare_state(spec, params)
     full = ybar_controlled_state(state)
-    rec = sample_ancilla(full, plan, "X", circuit_id)
+    rec = sample_ancilla(full, plan, circuit_id)
     return EstimateRecord(
         2.0 * rec.value, 2.0 * rec.std_error, rec.shots_used, circuit_id, "X"
     )
@@ -212,14 +212,3 @@ def correlator_csv(rows) -> str:
     for r, value, se in rows:
         lines.append(f"{r},{value:.17g},{se:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def ybar_result(L: int, v: float, estimate: float, std_error: float,
-                exact: float) -> dict:
-    return {
-        "L": L,
-        "v": v,
-        "estimate": estimate,
-        "std_error": std_error,
-        "exact": exact,
-    }

@@ -184,31 +184,6 @@ class WeightedPauliSum:
         """Sum of |coefficients| after canonical merge."""
         return sum(abs(c) for c in self._terms.values())
 
-    def to_lines(self):
-        """Serialize, one term per line: coeff_re coeff_im site:P site:P ..."""
-        lines = []
-        for coeff, string in sorted(self.terms(), key=lambda t: (t[1].x | t[1].z, t[1].x)):
-            toks = [f"{coeff.real:.17g}", f"{coeff.imag:.17g}"]
-            toks += [f"{s}:{p}" for s, p in string.ops.items()]
-            lines.append(" ".join(toks))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_lines(cls, text, n_qubits):
-        out = cls(n_qubits)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            coeff = complex(float(toks[0]), float(toks[1]))
-            ops = {}
-            for tok in toks[2:]:
-                site, letter = tok.split(":")
-                ops[int(site)] = letter
-            out.add(coeff, PauliString.from_ops(ops))
-        return out
-
 
 def parity_signs(mask: int, dim: int):
     """(-1)^popcount(k & mask) as float64, for every basis index k < dim."""

@@ -73,13 +73,16 @@ def _overlaps(D, *vectors) -> np.ndarray:
     return Dr @ np.array(vectors).view(np.float64).T
 
 
+def _gram(D) -> np.ndarray:
+    """Re<d_p|d_q>: the plain dot product of the interleaved real views."""
+    Dr = D.view(np.float64).reshape(D.shape[0], -1)
+    return Dr @ Dr.T
+
+
 def _metric(D, w) -> np.ndarray:
     """Re G_pq from the derivative rows and w = <d_p psi|psi> as the
     columns (Re, Im), i.e. `_overlaps(D, psi, -1j * psi)`."""
-    P = D.shape[0]
-    # Re<d_p|d_q> is the plain dot product of the interleaved real views
-    Dr = D.view(np.float64).reshape(P, -1)
-    g = Dr @ Dr.T
+    g = _gram(D)
     g -= np.outer(w[:, 0], w[:, 0]) + np.outer(w[:, 1], w[:, 1])
     return 0.5 * (g + g.T)
 

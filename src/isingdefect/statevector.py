@@ -207,17 +207,3 @@ def pauli_expectation(state: StateVector, string: PauliString) -> float:
     val = np.vdot(state.amplitudes, pauli_apply_raw(state.amplitudes, string))
     assert abs(val.imag) < 1e-10
     return float(val.real)
-
-
-def dump_state(state: StateVector, path) -> None:
-    """Binary dump: little-endian f64 interleaved re/im."""
-    with open(path, "wb") as fh:
-        fh.write(state.amplitudes.astype("<c16").tobytes())
-
-
-def load_state(path, n_qubits: int) -> StateVector:
-    with open(path, "rb") as fh:
-        amps = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-    if amps.shape[0] != 1 << n_qubits:
-        raise ValueError("dump size does not match qubit count")
-    return StateVector(n_qubits, amps)

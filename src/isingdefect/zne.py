@@ -3,9 +3,10 @@
 Noise is stochastic-Pauli (depolarizing) per two-qubit gate: after the gate
 fires, with probability p2 one of the 15 non-identity two-qubit Paulis on the
 gate's support is applied, drawn uniformly (p1 and the 3 one-site Paulis for
-single-qubit gates). The channel average is estimated by trajectory Monte
-Carlo, each trajectory sampling its own error record, and the observable is
-averaged across trajectories. Density matrices at 4^L are never formed.
+single-qubit gates; a gate on any other number of sites needs p1 = 0). The
+channel average is estimated by trajectory Monte Carlo, each trajectory
+sampling its own error record, and the observable is averaged across
+trajectories. Density matrices at 4^L are never formed.
 
 Error records come first. A chunk of trajectories draws every record
 before any state evolves, in circuit order: per noisy gate, one uniform per
@@ -187,7 +188,12 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
     if not obs.is_hermitian():
         raise ValueError("observable must be hermitian")
     L = circuit.n_qubits
-    probs = [noise.p2 if _weight(g) == 2 else noise.p1 for g in circuit.gates]
+    weights = [_weight(g) for g in circuit.gates]
+    other = [w for w in weights if w not in (1, 2)]
+    if noise.p1 > 0 and other:
+        raise ValueError(f"p1 noise is defined on one-site gates, not on a "
+                         f"{other[0]}-site gate; run it with p1 = 0")
+    probs = [noise.p2 if w == 2 else noise.p1 for w in weights]
     runs, angles = _runs_and_angles(circuit, [p > 0 for p in probs])
     # a noisy gate ends its run: (run index, p, error strings) per noisy gate
     noisy = [(i, probs[stop - 1], _error_strings(circuit.gates[stop - 1].generator))

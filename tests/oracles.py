@@ -119,18 +119,23 @@ def dense_ybar(L):
     return A + A.conj().T
 
 
-def dense_ansatz(L, N, boundary, params):
-    """(psi, D) for the layered ansatz from dense kron-chain matrices:
-    psi = U |+>^L and D[p] = U_>p (-i O_p) U_<=p |+>^L.
-
-    The gate layout is rebuilt here (per layer: ZZ bonds with the wrap bond
-    last, then X on every site, then Z on every site), and each gate is
-    cos t I - i sin t O, so no package code enters."""
+def _ansatz_layout(L, N, boundary):
+    """Gate supports in firing order, per layer: ZZ bonds with the wrap bond
+    last, then X on every site, then Z on every site."""
     layer = [{i: "Z", i + 1: "Z"} for i in range(L - 1)]
     if boundary == "periodic":
         layer.append({L - 1: "Z", 0: "Z"})
     layer += [{i: "X"} for i in range(L)] + [{i: "Z"} for i in range(L)]
-    ops = [kron_chain(o, L) for o in layer * N]
+    return layer * N
+
+
+def dense_ansatz(L, N, boundary, params):
+    """(psi, D) for the layered ansatz from dense kron-chain matrices:
+    psi = U |+>^L and D[p] = U_>p (-i O_p) U_<=p |+>^L.
+
+    The gate layout is rebuilt here (`_ansatz_layout`), and each gate is
+    cos t I - i sin t O, so no package code enters."""
+    ops = [kron_chain(o, L) for o in _ansatz_layout(L, N, boundary)]
     if len(params) != len(ops):
         raise ValueError("parameter count does not match the layout")
     dim = 2**L
@@ -146,6 +151,59 @@ def dense_ansatz(L, N, boundary, params):
         D[p] = suffix @ (-1j * (ops[p] @ prefix[p]))
         suffix = suffix @ rots[p]
     return state, D
+
+
+def ancilla_test_means(L, N, boundary, params, terms):
+    """[(circuit_id, basis, mean)] of the QNG gradient and metric Hadamard
+    tests, each run as its own (L+1)-qubit circuit with dense matrices.
+
+    The ancilla is the top wire (site L), starts in |+> with the register,
+    and controls its insertions on the |1> branch. terms: [(c, ops)] of H
+    with ops a {site: letter} map; tests of zero terms are skipped. Order:
+    grad:p{p}:t{t} (X; -i O_p after gate p, h_t after the last gate), then
+    metric:y:q{q} (Y; -i O_q after gate q), then metric:x:p{p}q{q} for
+    q >= p (X; -i O_p after gate p, +i O_q after gate q)."""
+    n = L + 1
+    dim = 2**n
+    layout = _ansatz_layout(L, N, boundary)
+    if len(params) != len(layout):
+        raise ValueError("parameter count does not match the layout")
+    gates = [dense_rotation(kron_chain(o, n), t) for o, t in zip(layout, params)]
+    low, high = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    eye = np.eye(2**L)
+
+    def controlled(O):  # the ancilla is the leftmost kron factor
+        return np.kron(low, eye) + np.kron(high, O)
+
+    def ancilla_mean(state, letter):
+        return float(np.real(state.conj() @ kron_chain({L: letter}, n) @ state))
+
+    def run(state, start, stop):
+        for U in gates[start:stop]:
+            state = U @ state
+        return state
+
+    plus = np.full(dim, dim**-0.5, dtype=complex)
+    P = len(gates)
+    out = []
+    for p in range(P):
+        state = run(plus, 0, p + 1)
+        state = controlled(-1j * kron_chain(layout[p], L)) @ state
+        state = run(state, p + 1, P)
+        for t, (c, ops) in enumerate(terms):
+            if c != 0.0:
+                out.append((f"grad:p{p}:t{t}", "X",
+                            ancilla_mean(controlled(kron_chain(ops, L)) @ state, "X")))
+    for q in range(P):
+        state = controlled(-1j * kron_chain(layout[q], L)) @ run(plus, 0, q + 1)
+        out.append((f"metric:y:q{q}", "Y", ancilla_mean(state, "Y")))
+    for p in range(P):
+        state = controlled(-1j * kron_chain(layout[p], L)) @ run(plus, 0, p + 1)
+        for q in range(p, P):
+            state = run(state, q, q + 1) if q > p else state
+            closed = controlled(1j * kron_chain(layout[q], L)) @ state
+            out.append((f"metric:x:p{p}q{q}", "X", ancilla_mean(closed, "X")))
+    return out
 
 
 def _gate_errors(generator, L):

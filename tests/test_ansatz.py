@@ -1,19 +1,16 @@
-"""Layered circuit: ordering, counts, truncation, periodicity."""
+"""Layered circuit: ordering, counts, the fused kernel, periodicity."""
 import numpy as np
 import pytest
 
 from isingdefect.ansatz import (
     AnsatzSpec,
     derivative_sweep,
-    for_model,
     gate_generators,
     gates,
     init_params,
     parameter_count,
     prepare_state,
-    prepare_truncated,
 )
-from isingdefect.model import ModelParams
 from isingdefect.qng import derivative_state
 from isingdefect.statevector import plus_state
 
@@ -98,20 +95,6 @@ def test_fused_sweep_matches_single_parameter_route(L, N):
         assert np.max(np.abs(D[p] - want)) < 1e-12
 
 
-def test_truncation_prefixes():
-    spec = AnsatzSpec(L=3, N=1)
-    params = init_params(spec, seed=3) * 50  # visible angles
-    gens = gate_generators(spec)
-    psi = plus_state(3).amplitudes
-    for cut, (g, t) in enumerate(zip(gens, params)):
-        before = prepare_truncated(spec, params, cut, include_cut=False)
-        assert np.allclose(before.amplitudes, psi, atol=1e-12)
-        psi = oracles.dense_rotation(oracles.kron_chain(g.ops, 3), t) @ psi
-        after = prepare_truncated(spec, params, cut, include_cut=True)
-        assert np.allclose(after.amplitudes, psi, atol=1e-12)
-    assert np.allclose(prepare_state(spec, params).amplitudes, psi, atol=1e-12)
-
-
 def test_angle_shift_by_two_pi_is_identity():
     spec = AnsatzSpec(L=2, N=2)
     params = init_params(spec, seed=1)
@@ -135,11 +118,6 @@ def test_init_params_bounds_and_determinism():
     assert np.all(np.abs(a) <= 0.01)
 
 
-def test_for_model_follows_boundary():
-    assert for_model(ModelParams(L=12, b=1)) == AnsatzSpec(12, 6, "periodic")
-    assert for_model(ModelParams(L=12, b=0)) == AnsatzSpec(12, 6, "open")
-
-
 def test_validation():
     with pytest.raises(ValueError):
         AnsatzSpec(L=1, N=1)
@@ -150,7 +128,5 @@ def test_validation():
     spec = AnsatzSpec(L=2, N=1)
     with pytest.raises(ValueError):
         prepare_state(spec, np.zeros(4))
-    with pytest.raises(ValueError):
-        prepare_truncated(spec, np.zeros(5), 5)
     with pytest.raises(ValueError):
         gates(spec, np.zeros(6))

@@ -336,3 +336,21 @@ def test_dump_state_rejected_for_energy_scan(tmp_path, capsys):
     assert "dump_state" in capsys.readouterr().err
     with pytest.raises(ValueError, match="dump_state"):
         run(load_config(cfg), tmp_path / "y", dump_state=True)
+
+
+def test_benchmark_imports_still_resolve():
+    # the benchmark imports package names directly; a deleted or renamed
+    # name would break it with no other test failing
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    names = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("isingdefect"):
+            module = importlib.import_module(node.module)
+            names += [alias.name for alias in node.names]
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, f"{node.module} lacks {missing}"
+    assert {"derivative_state", "gradient_shot", "metric_shot", "pauli_apply_raw"} <= set(names)

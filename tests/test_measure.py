@@ -1,74 +1,58 @@
 """Hadamard-test estimation and finite-shot sampling."""
+import math
+
 import numpy as np
 import pytest
 
-from isingdefect.ansatz import AnsatzSpec, gates, init_params, parameter_count, prepare_state
+import oracles
+
+from isingdefect.ansatz import AnsatzSpec, init_params, parameter_count, prepare_state
 from isingdefect.measure import (
-    Prefix,
     ShotPlan,
+    _sample_pm1,
     circuit_rng,
     estimates_to_csv,
     gradient_shot,
-    hadamard_test,
     metric_shot,
+    sample_ancilla,
     sample_pauli_expectation,
 )
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
 from isingdefect.paulis import PauliString
-from isingdefect.qng import gradient_exact, metric_exact, minus_i_times
+from isingdefect.qng import gradient_exact, metric_exact
 from isingdefect.statevector import (
     RotationGate,
+    StateVector,
+    apply_controlled,
     basis_state,
     inner,
-    pauli_apply_raw,
     plus_state,
-    rotation_apply_raw,
 )
 
 ANALYTIC = ShotPlan(shots=1, analytic=True)
 
 
-def ansatz_prefix(L, N, seed, scale=1.0):
-    spec = AnsatzSpec(L=L, N=N)
-    params = init_params(spec, seed) * (100 * scale)
-    return spec, params, Prefix(L, tuple(gates(spec, params)))
-
-
 def test_controlled_identity_gives_one():
-    rec = hadamard_test(Prefix(2, ()), [(0, PauliString())], ANALYTIC, basis="X")
+    state = apply_controlled(plus_state(3), 2, PauliString())
+    rec = sample_ancilla(state, ANALYTIC, "id")
     assert rec.value == pytest.approx(1.0, abs=1e-14)
-    sampled = hadamard_test(
-        Prefix(2, ()), [(0, PauliString())], ShotPlan(shots=64), basis="X"
-    )
+    sampled = sample_ancilla(state, ShotPlan(shots=64), "id")
     assert sampled.value == 1.0 and sampled.std_error == 0.0
 
 
 def test_controlled_z_on_plus_gives_zero():
-    for basis in ("X", "Y"):
-        rec = hadamard_test(
-            Prefix(1, ()), [(0, PauliString.from_ops({0: "Z"}))], ANALYTIC, basis=basis
-        )
-        assert rec.value == pytest.approx(0.0, abs=1e-14)
+    state = apply_controlled(plus_state(2), 1, PauliString.from_ops({0: "Z"}))
+    assert sample_ancilla(state, ANALYTIC, "cz").value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_analytic_mode_matches_branch_inner_product():
-    spec, params, prefix = ansatz_prefix(3, 1, seed=2)
-    op = minus_i_times(PauliString.from_ops({1: "Z", 2: "Z"}))
-    for pos in [0, 3, 8]:
-        phi0 = plus_state(3)
-        for g in prefix.gates:
-            rotation_apply_raw(phi0.amplitudes, g)
-        phi1 = plus_state(3)
-        for g in prefix.gates[:pos]:
-            rotation_apply_raw(phi1.amplitudes, g)
-        phi1.amplitudes = pauli_apply_raw(phi1.amplitudes, op)
-        for g in prefix.gates[pos:]:
-            rotation_apply_raw(phi1.amplitudes, g)
-        ov = inner(phi0, phi1)
-        x = hadamard_test(prefix, [(pos, op)], ANALYTIC, basis="X").value
-        y = hadamard_test(prefix, [(pos, op)], ANALYTIC, basis="Y").value
-        assert x == pytest.approx(ov.real, abs=1e-12)
-        assert y == pytest.approx(ov.imag, abs=1e-12)
+    spec = AnsatzSpec(L=3, N=1)
+    phi0 = prepare_state(spec, init_params(spec, seed=2) * 100)
+    phi1 = prepare_state(spec, init_params(spec, seed=3) * 100)
+    # |0>_anc |phi0> + |1>_anc |phi1>, ancilla on the top wire
+    state = StateVector(4, np.concatenate([phi0.amplitudes, phi1.amplitudes]) / np.sqrt(2))
+    x = sample_ancilla(state, ANALYTIC, "branches").value
+    assert x == pytest.approx(inner(phi0, phi1).real, abs=1e-12)
 
 
 def test_recipe_validation():
@@ -76,17 +60,6 @@ def test_recipe_validation():
         ShotPlan(shots=0)
     with pytest.raises(ValueError):
         ShotPlan(seed=-1)
-    with pytest.raises(ValueError):
-        ShotPlan(basis="Z")
-    prefix = Prefix(2, (RotationGate(PauliString.from_ops({0: "X"}), 0.3),))
-    with pytest.raises(ValueError):
-        hadamard_test(prefix, [(2, PauliString())], ANALYTIC)
-    with pytest.raises(ValueError):
-        hadamard_test(
-            prefix, [(1, PauliString()), (0, PauliString())], ANALYTIC
-        )
-    with pytest.raises(ValueError):
-        hadamard_test(prefix, [], ANALYTIC, basis="Q")
 
 
 @pytest.mark.parametrize("L,N", [(2, 1), (4, 2)])
@@ -131,14 +104,14 @@ def test_metric_shot_analytic_equals_exact():
 
 
 def test_single_rz_toy_metric():
-    prefix = Prefix(1, (RotationGate(PauliString.from_ops({0: "Z"}), 0.7),))
-    mz = minus_i_times(PauliString.from_ops({0: "Z"}))
-    pz = PauliString(mz.x, mz.z, (mz.e + 2) % 4)  # +iZ
-    x = hadamard_test(prefix, [(1, mz), (1, pz)], ANALYTIC, basis="X").value
-    y = hadamard_test(prefix, [(1, mz)], ANALYTIC, basis="Y").value
-    assert x == pytest.approx(1.0, abs=1e-12)
-    assert y == pytest.approx(0.0, abs=1e-12)
-    assert x - y * y == pytest.approx(1.0, abs=1e-12)
+    # Rz direction on |+> at zero angles: x = 1, y = 0, g = 1
+    spec = AnsatzSpec(L=2, N=1)
+    records = []
+    g = metric_shot(spec, np.zeros(5), ANALYTIC, records)
+    means = {r.circuit_id: r.value for r in records}
+    assert means["metric:x:p3q3"] == pytest.approx(1.0, abs=1e-12)
+    assert means["metric:y:q3"] == pytest.approx(0.0, abs=1e-12)
+    assert g[3, 3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_shot_sampled_structure():
@@ -148,21 +121,6 @@ def test_metric_shot_sampled_structure():
     assert np.array_equal(g, g.T)
     assert np.min(np.diag(g)) >= -3 / np.sqrt(512)
     assert np.max(np.abs(g)) <= 2.0 + 1e-12
-
-
-def test_insertion_side_invariance():
-    spec, params, prefix = ansatz_prefix(3, 1, seed=8)
-    gens = [g.generator for g in prefix.gates]
-    h = PauliString.from_ops({0: "X"})
-    for p in [1, 4]:
-        op = minus_i_times(gens[p])
-        after = hadamard_test(
-            prefix, [(p + 1, op), (len(gens), h)], ANALYTIC, basis="X"
-        )
-        before = hadamard_test(
-            prefix, [(p, op), (len(gens), h)], ANALYTIC, basis="X"
-        )
-        assert after.value == pytest.approx(before.value, abs=1e-12)
 
 
 def test_sample_pauli_deterministic_outcomes():
@@ -192,7 +150,8 @@ def test_sample_pauli_zz_ground_state():
 
 def test_sample_pauli_mixed_letters_match_exact():
     # rotation bookkeeping for X and Y factors against the exact path
-    spec, params, _ = ansatz_prefix(3, 2, seed=14)
+    spec = AnsatzSpec(L=3, N=2)
+    params = init_params(spec, seed=14) * 100
     state = prepare_state(spec, params)
     for ops in [{0: "X", 2: "Y"}, {1: "Y"}, {0: "Z", 1: "X", 2: "Y"}]:
         s = PauliString.from_ops(ops)
@@ -203,21 +162,17 @@ def test_sample_pauli_mixed_letters_match_exact():
 
 
 def test_shot_error_scales_as_inverse_sqrt():
-    spec, params, prefix = ansatz_prefix(2, 1, seed=3)
-    op = minus_i_times(prefix.gates[0].generator)
-    exact = hadamard_test(prefix, [(1, op)], ANALYTIC, basis="X").value
+    # <+|Rz(0.7)|+> = cos 0.7 is the ancilla's X mean
+    rz = RotationGate(PauliString.from_ops({0: "Z"}), 0.7)
+    state = apply_controlled(plus_state(2), 1, rz)
+    exact = math.cos(0.7)
+    assert sample_ancilla(state, ANALYTIC, "slope").value == pytest.approx(exact, abs=1e-14)
     shots_grid = [100, 1000, 10000, 100000]
     mean_abs_err = []
     for shots in shots_grid:
         errs = []
         for rep in range(48):
-            rec = hadamard_test(
-                prefix,
-                [(1, op)],
-                ShotPlan(shots=shots, seed=6),
-                basis="X",
-                circuit_id=f"slope:s{shots}:r{rep}",
-            )
+            rec = sample_ancilla(state, ShotPlan(shots=shots, seed=6), f"slope:s{shots}:r{rep}")
             errs.append(abs(rec.value - exact))
         mean_abs_err.append(np.mean(errs))
     slope = np.polyfit(np.log(shots_grid), np.log(mean_abs_err), 1)[0]
@@ -235,24 +190,67 @@ def test_circuit_rng_reproducible_and_distinct():
 
 
 def test_estimate_values_bounded_and_csv_round_trip():
-    spec, params, prefix = ansatz_prefix(2, 1, seed=10)
-    op = minus_i_times(prefix.gates[2].generator)
+    spec = AnsatzSpec(L=2, N=1)
+    params = init_params(spec, seed=10) * 100
     records = []
-    for rep in range(8):
-        records.append(
-            hadamard_test(
-                prefix,
-                [(3, op)],
-                ShotPlan(shots=32, seed=rep),
-                basis="Y",
-                circuit_id=f"bound:r{rep}",
-            )
-        )
+    metric_shot(spec, params, ShotPlan(shots=32, seed=0), records)
+    P = parameter_count(spec)
+    assert len(records) == P + P * (P + 1) // 2
     assert all(abs(r.value) <= 1.0 for r in records)
     assert all(r.std_error <= 1 / np.sqrt(32) + 1e-12 for r in records)
     csv = estimates_to_csv(records)
     lines = csv.strip().split("\n")
     assert lines[0] == "circuit_id,basis,shots,value,std_error"
-    assert len(lines) == 9
-    cells = lines[1].split(",")
-    assert cells[0] == "bound:r0" and cells[1] == "Y" and int(cells[2]) == 32
+    assert len(lines) == len(records) + 1
+    for line, rec in zip(lines[1:], records):
+        cells = line.split(",")
+        assert cells[:3] == [rec.circuit_id, rec.basis, "32"]
+        assert float(cells[3]) == rec.value and float(cells[4]) == rec.std_error
+    assert lines[1].startswith("metric:y:q0,Y,32,")
+    assert lines[P + 1].startswith("metric:x:p0q0,X,32,")
+
+
+def _oracle_case(L, N, boundary, v, seed):
+    spec = AnsatzSpec(L=L, N=N, boundary=boundary)
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, parameter_count(spec))
+    H = build_hamiltonian(ModelParams(L=L, b=int(boundary == "periodic"), v=v))
+    terms = [(c.real, s.ops) for c, s in H.terms()]
+    return spec, params, H, oracles.ancilla_test_means(L, N, boundary, params, terms)
+
+
+def _estimates(spec, params, H, plan):
+    records = []
+    grad = gradient_shot(spec, params, H, plan, records)
+    metric = metric_shot(spec, params, plan, records)
+    return grad, metric, records
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_estimators_match_ancilla_circuit_oracle(L, boundary):
+    for N in (1, 2):
+        for v in (0.0, 0.7, math.inf):
+            spec, params, H, want = _oracle_case(L, N, boundary, v, [L, N, int(v == 0.7)])
+            grad, metric, records = _estimates(spec, params, H, ANALYTIC)
+            assert [r.circuit_id for r in records] == [cid for cid, _, _ in want]
+            assert [r.basis for r in records] == [basis for _, basis, _ in want]
+            got = np.array([r.value for r in records])
+            assert np.max(np.abs(got - [mean for _, _, mean in want])) < 1e-12
+            assert np.max(np.abs(grad - gradient_exact(spec, params, H))) < 1e-12
+            assert np.max(np.abs(metric - metric_exact(spec, params))) < 1e-12
+
+
+@pytest.mark.parametrize("L, boundary", [(3, "open"), (4, "periodic")])
+def test_sampled_records_match_oracle_draws(L, boundary):
+    # numpy's binomial draws n - x when p crosses 1/2, so a mean that is 0
+    # by symmetry may sample with either sign
+    spec, params, H, want = _oracle_case(L, 2, boundary, 0.7, 5)
+    plan = ShotPlan(shots=1024, seed=3)
+    _, _, records = _estimates(spec, params, H, plan)
+    assert len(records) == len(want)
+    for rec, (cid, basis, mean) in zip(records, want):
+        oracle = _sample_pm1(mean, plan, cid, basis)
+        if abs(mean) > 1e-12:
+            assert rec == oracle
+        else:
+            assert (rec.circuit_id, abs(rec.value)) == (cid, abs(oracle.value))

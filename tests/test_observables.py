@@ -19,7 +19,6 @@ from isingdefect.observables import (
     ybar_controlled_state,
     ybar_exact,
     ybar_hadamard,
-    ybar_result,
 )
 from isingdefect.paulis import WeightedPauliSum, commutator_norm, dense_matrix
 from isingdefect.qng import OptimizeOptions, optimize
@@ -222,8 +221,6 @@ def test_output_formats():
     lines = csv.strip().split("\n")
     assert lines[0] == "r,value,std_error"
     assert lines[1].startswith("1,1,") or lines[1].startswith("1,1.0")
-    res = ybar_result(8, 0.0, -1.41, 0.02, -math.sqrt(2))
-    assert set(res) == {"L", "v", "estimate", "std_error", "exact"}
 
 
 def test_braid_index_validation():

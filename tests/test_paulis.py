@@ -165,16 +165,6 @@ def test_hermitian_flag():
     assert not bad.is_hermitian()
 
 
-def test_serialization_roundtrip():
-    s = WeightedPauliSum(3)
-    s.add(-1.5, PauliString.from_ops({0: "Z", 1: "Z"}))
-    s.add(0.25 + 0.125j, PauliString.from_ops({2: "Y"}))
-    s.add(2.0, PauliString())
-    text = s.to_lines()
-    back = WeightedPauliSum.from_lines(text, 3)
-    np.testing.assert_allclose(dense_matrix(back), dense_matrix(s), atol=1e-15)
-
-
 def test_register_guard():
     s = WeightedPauliSum(2)
     with pytest.raises(ValueError):

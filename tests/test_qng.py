@@ -25,6 +25,8 @@ from isingdefect.qng import (
 )
 from isingdefect.statevector import expectation, inner, sum_apply_raw
 
+import oracles
+
 
 def random_point(spec, seed, scale=1.2):
     rng = np.random.default_rng(seed)
@@ -65,17 +67,15 @@ def test_derivative_matches_finite_difference():
 
 def test_insertion_before_own_gate_is_equivalent():
     # -iO_p commutes with exp(-i t O_p), so either side of gate p agrees
-    from isingdefect.ansatz import apply_gates_raw, prepare_truncated
-    from isingdefect.qng import minus_i_times
-    from isingdefect.statevector import pauli_apply_raw
-
     spec = AnsatzSpec(L=3, N=1)
     params = random_point(spec, 6)
-    gens = gate_generators(spec)
+    ops = [oracles.kron_chain(g.ops, 3) for g in gate_generators(spec)]
     for p in [0, 3, 7]:
-        before = prepare_truncated(spec, params, p, include_cut=False)
-        amps = pauli_apply_raw(before.amplitudes, minus_i_times(gens[p]))
-        apply_gates_raw(amps, spec, params, p, None)
+        amps = np.full(8, 8**-0.5, dtype=complex)
+        for k, (O, t) in enumerate(zip(ops, params)):
+            if k == p:
+                amps = -1j * (O @ amps)
+            amps = oracles.dense_rotation(O, t) @ amps
         assert np.allclose(amps, derivative_state(spec, params, p).amplitudes, atol=1e-12)
 
 

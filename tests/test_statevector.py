@@ -8,10 +8,8 @@ from isingdefect.statevector import (
     apply_pauli,
     apply_rotation,
     basis_state,
-    dump_state,
     expectation,
     inner,
-    load_state,
     plus_state,
 )
 from oracles import dense_ground, dense_hamiltonian, dense_rotation, kron_chain
@@ -188,17 +186,3 @@ def test_inner_products():
     rot = apply_rotation(plus_state(1), RotationGate(PauliString.from_ops({0: "Z"}), 0.4))
     # <+|Rz(phi)|+> = cos(phi) under the exp(-i phi Z) convention
     assert inner(plus_state(1), rot) == pytest.approx(np.cos(0.4), abs=1e-12)
-
-
-def test_state_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(30)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = type(plus_state(3))(3, amps)
-    path = tmp_path / "state.bin"
-    dump_state(state, path)
-    back = load_state(path, 3)
-    np.testing.assert_array_equal(back.amplitudes, amps)
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    np.testing.assert_array_equal(raw[0::2], amps.real)
-    np.testing.assert_array_equal(raw[1::2], amps.imag)

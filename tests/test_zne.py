@@ -8,6 +8,7 @@ from isingdefect.ansatz import AnsatzSpec, init_params
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
 from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.qng import OptimizeOptions, optimize
+from isingdefect import zne
 from isingdefect.statevector import RotationGate
 from isingdefect.zne import (
     Circuit,
@@ -284,3 +285,21 @@ def test_trajectory_mean_matches_exact_channel(factor):
     clean = noiseless_expectation(circ, H)
     assert abs(rec.value - exact) < 4 * rec.std_error
     assert abs(exact - clean) > 4 * rec.std_error  # the noise bias is resolved
+
+
+def test_wide_gate_runs_only_without_p1_noise(monkeypatch):
+    gates = (
+        RotationGate(PauliString.from_ops({0: "X", 1: "X", 2: "X"}), 0.3),
+        RotationGate(PauliString.from_ops({0: "Z", 1: "Z"}), 0.8),
+        RotationGate(PauliString.from_ops({2: "X"}), -0.4),
+    )
+    circ = Circuit(3, gates)
+    H = build_hamiltonian(ModelParams(L=3, b=0, v=0.7))
+    _assert_matches_trajectory_oracle(circ, H, NoiseModel(p2=0.2), 40, 7, seed=2)
+
+    def no_draws(*args):
+        raise AssertionError("error records drawn before the gate check")
+
+    monkeypatch.setattr(zne, "_error_records", no_draws)
+    with pytest.raises(ValueError, match="3-site gate"):
+        noisy_expectation(circ, H, NoiseModel(p2=0.2, p1=0.1), 40)
