@@ -55,7 +55,7 @@ from .qng import (
     qng_step,
     trace_to_csv,
 )
-from .statevector import RotationGate, StateVector, expectation, inner, plus_state
+from .statevector import RotationGate, StateVector, expectation, plus_state
 from .zne import (
     Circuit,
     NoiseModel,

@@ -119,6 +119,7 @@ class WeightedPauliSum:
             raise ValueError("n_qubits must be positive")
         self.n_qubits = n_qubits
         self._terms = {}
+        self._grouped = None
         if terms:
             for coeff, string in terms:
                 self.add(coeff, string)
@@ -130,7 +131,27 @@ class WeightedPauliSum:
         key = (string.x, string.z)
         folded = coeff * _PHASES[(string.e - string.n_y) % 4]
         self._terms[key] = self._terms.get(key, 0.0 + 0.0j) + folded
+        self._grouped = None
         return self
+
+    def grouped(self):
+        """(diag, xsites, rest): the real 2^n vector of every real-weighted
+        Z-only term times its parity signs, (site, real coefficient) per
+        single-site X term, and every other (coefficient, letters-form
+        string) term. Built on first use and kept until the next `add`."""
+        if self._grouped is None:
+            diag = np.zeros(1 << self.n_qubits)
+            xsites, rest = [], []
+            for coeff, string in self.terms():
+                if coeff.imag == 0.0 and string.x == 0:
+                    diag += coeff.real * parity_signs(string.z, diag.size)
+                elif coeff.imag == 0.0 and string.z == 0 and string.x.bit_count() == 1:
+                    xsites.append((string.x.bit_length() - 1, coeff.real))
+                else:
+                    rest.append((coeff, string))
+            diag.setflags(write=False)
+            self._grouped = diag, tuple(xsites), tuple(rest)
+        return self._grouped
 
     def terms(self):
         """Yield (coefficient, letters-form PauliString) pairs."""

@@ -52,12 +52,6 @@ def plus_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def basis_state(n: int, index: int = 0) -> StateVector:
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n, amps)
-
-
 @lru_cache(maxsize=None)
 def _zsigns(zmask: int, dim: int):
     """`parity_signs(zmask, dim)`, cached read-only."""
@@ -74,10 +68,15 @@ def _perm(xmask: int, dim: int):
     return perm
 
 
+def _pair_view(batch: np.ndarray, site: int, dim: int) -> np.ndarray:
+    """View (..., dim) as (..., high, 2, low), the 2-axis being `site`'s bit."""
+    return batch.reshape(batch.shape[:-1] + (dim >> (site + 1), 2, -1))
+
+
 def pauli_apply_raw(batch: np.ndarray, string: PauliString) -> np.ndarray:
     """Return string applied to every state along the last axis (new array)."""
     dim = batch.shape[-1]
-    out = batch[..., _perm(string.x, dim)] if string.x else batch.copy()
+    out = np.take(batch, _perm(string.x, dim), axis=-1) if string.x else batch.copy()
     if string.z:
         # sign from the source basis state, i.e. the permuted index
         signs = _zsigns(string.z, dim)
@@ -101,7 +100,7 @@ def rotation_apply_raw(batch: np.ndarray, gate: RotationGate) -> None:
     if g.z == 0 and g.x.bit_count() == 1 and g.e == 0:
         # single-site X rotation: mix amplitude pairs through a reshaped view
         site = g.x.bit_length() - 1
-        view = batch.reshape(batch.shape[:-1] + (dim >> (site + 1), 2, 1 << site))
+        view = _pair_view(batch, site, dim)
         b0 = view[..., 0, :]
         b1 = view[..., 1, :]
         c, ms = np.cos(gate.angle), -1j * np.sin(gate.angle)
@@ -122,12 +121,6 @@ def apply_rotation(state: StateVector, gate: RotationGate) -> StateVector:
     out = state.copy()
     rotation_apply_raw(out.amplitudes, gate)
     return out
-
-
-def apply_pauli(state: StateVector, string: PauliString) -> StateVector:
-    if string.max_site() >= state.n_qubits:
-        raise ValueError("string site out of range")
-    return StateVector(state.n_qubits, pauli_apply_raw(state.amplitudes, string))
 
 
 def _apply_unitary_raw(batch, op):
@@ -174,20 +167,38 @@ def apply_controlled(state: StateVector, control: int, op) -> StateVector:
     return out
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    if a.amplitudes.shape != b.amplitudes.shape:
-        raise ValueError("size mismatch")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def sum_apply_raw(amps: np.ndarray, obs: WeightedPauliSum) -> np.ndarray:
-    """obs @ amps for a weighted Pauli sum (new array)."""
-    out = np.zeros_like(amps)
-    for coeff, string in obs.terms():
+    """obs @ amps for a weighted Pauli sum (new array), from `obs.grouped()`."""
+    diag, xsites, rest = obs.grouped()
+    dim = amps.shape[-1]
+    out = amps * diag
+    for site, coeff in xsites:
+        # X_site swaps the two halves of each amplitude pair
+        _pair_view(out, site, dim)[...] += coeff * _pair_view(amps, site, dim)[..., ::-1, :]
+    for coeff, string in rest:
         term = pauli_apply_raw(amps, string)
         term *= coeff
         out += term
     return out
+
+
+def sum_expectation_raw(batch: np.ndarray, obs: WeightedPauliSum) -> np.ndarray:
+    """Re <b|obs|b> for every state b along the last axis, without forming
+    obs @ batch: sum |b|^2 d, then 2 c Re<b0|b1> per X site on the real view
+    of its amplitude pairs (no copy), then the rest of `obs.grouped()`."""
+    diag, xsites, rest = obs.grouped()
+    dim = batch.shape[-1]
+    B = np.ascontiguousarray(batch).reshape(-1, dim)
+    R = B.view(np.float64)  # re, im interleaved
+    sq = R.reshape(-1, dim, 2)
+    vals = np.einsum("ijk,ijk,j->i", sq, sq, diag)
+    for site, coeff in xsites:
+        # bit `site` of a complex index is bit site + 1 of the real index
+        pairs = _pair_view(R, site + 1, 2 * dim)
+        vals += 2.0 * coeff * np.einsum("ijk,ijk->i", pairs[:, :, 0], pairs[:, :, 1])
+    for coeff, string in rest:
+        vals += (coeff * np.vecdot(B, pauli_apply_raw(B, string))).real
+    return vals.reshape(batch.shape[:-1])
 
 
 def expectation(state: StateVector, obs: WeightedPauliSum) -> float:
@@ -195,9 +206,7 @@ def expectation(state: StateVector, obs: WeightedPauliSum) -> float:
         raise ValueError("observable must be hermitian")
     if obs.n_qubits != state.n_qubits:
         raise ValueError("register size mismatch")
-    val = np.vdot(state.amplitudes, sum_apply_raw(state.amplitudes, obs))
-    assert abs(val.imag) < 1e-10, "hermitian expectation left an imaginary residue"
-    return float(val.real)
+    return float(sum_expectation_raw(state.amplitudes, obs))
 
 
 def pauli_expectation(state: StateVector, string: PauliString) -> float:

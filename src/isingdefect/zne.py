@@ -38,7 +38,7 @@ from .statevector import (
     RotationGate,
     pauli_apply_raw,
     plus_state,
-    sum_apply_raw,
+    sum_expectation_raw,
 )
 
 _LETTERS = ("I", "X", "Y", "Z")
@@ -133,8 +133,7 @@ def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
     amps = plus_state(circuit.n_qubits).amplitudes
     for run in runs:
         apply_run(amps[None], run, angles[run[1] : run[2]], circuit.n_qubits)
-    val = np.vdot(amps, sum_apply_raw(amps, obs))
-    return float(val.real)
+    return float(sum_expectation_raw(amps, obs))
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +226,7 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
             for e in np.unique(picks):
                 sel = hit_pos[picks == e]
                 B[sel] = pauli_apply_raw(B[sel], errors[e])
-        values = np.einsum("ij,ij->i", B.conj(), sum_apply_raw(B, obs)).real
+        values = sum_expectation_raw(B, obs)
         piece = np.full(rows, values[0])  # rows that never err
         piece[order] = values[1:]
         pieces.append(piece)

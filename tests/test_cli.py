@@ -354,3 +354,32 @@ def test_benchmark_imports_still_resolve():
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{node.module} lacks {missing}"
     assert {"derivative_state", "gradient_shot", "metric_shot", "pauli_apply_raw"} <= set(names)
+
+
+# Tracer bindings whose call site has moved: their traced figures read 0
+# until the tracer stops binding them. A binding that goes stale must be
+# added here.
+STALE_TRACER_BINDINGS = {
+    "isingdefect.qng.exact_ground",
+    "isingdefect.zne.rotation_apply_raw",
+    "isingdefect.measure.apply_controlled",
+    "isingdefect.measure.rotation_apply_raw",
+    "isingdefect.zne.sum_apply_raw",
+}
+
+
+def test_stale_tracer_bindings_are_listed():
+    # the tracer times layers by rebinding names at their call sites and
+    # skips a name that is gone, so a moved call site zeroes a figure silently
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    bindings = next(
+        ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BINDINGS"
+    )
+    stale = {f"{module}.{attr}" for module, attr in bindings
+             if not hasattr(importlib.import_module(module), attr)}
+    assert stale == STALE_TRACER_BINDINGS

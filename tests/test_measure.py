@@ -24,12 +24,11 @@ from isingdefect.statevector import (
     RotationGate,
     StateVector,
     apply_controlled,
-    basis_state,
-    inner,
     plus_state,
 )
 
 ANALYTIC = ShotPlan(shots=1, analytic=True)
+ZERO = StateVector(1, np.array([1.0, 0.0], dtype=complex))  # |0>
 
 
 def test_controlled_identity_gives_one():
@@ -52,7 +51,7 @@ def test_analytic_mode_matches_branch_inner_product():
     # |0>_anc |phi0> + |1>_anc |phi1>, ancilla on the top wire
     state = StateVector(4, np.concatenate([phi0.amplitudes, phi1.amplitudes]) / np.sqrt(2))
     x = sample_ancilla(state, ANALYTIC, "branches").value
-    assert x == pytest.approx(inner(phi0, phi1).real, abs=1e-12)
+    assert x == pytest.approx(np.vdot(phi0.amplitudes, phi1.amplitudes).real, abs=1e-12)
 
 
 def test_recipe_validation():
@@ -125,14 +124,14 @@ def test_metric_shot_sampled_structure():
 
 def test_sample_pauli_deterministic_outcomes():
     z = PauliString.from_ops({0: "Z"})
-    rec = sample_pauli_expectation(basis_state(1, 0), z, ShotPlan(shots=16, seed=0))
+    rec = sample_pauli_expectation(ZERO, z, ShotPlan(shots=16, seed=0))
     assert rec.value == 1.0 and rec.std_error == 0.0
 
 
 def test_sample_pauli_x_on_zero_is_noise():
     x = PauliString.from_ops({0: "X"})
     rec = sample_pauli_expectation(
-        basis_state(1, 0), x, ShotPlan(shots=10**6, seed=1)
+        ZERO, x, ShotPlan(shots=10**6, seed=1)
     )
     assert abs(rec.value) < 0.01
 

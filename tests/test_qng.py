@@ -23,7 +23,7 @@ from isingdefect.qng import (
     qng_step,
     trace_to_csv,
 )
-from isingdefect.statevector import expectation, inner, sum_apply_raw
+from isingdefect.statevector import expectation, sum_apply_raw
 
 import oracles
 
@@ -130,9 +130,8 @@ def test_metric_matches_naive_assembly():
     naive = np.empty((P, P))
     for p in range(P):
         for q in range(P):
-            G = inner(derivs[p], derivs[q]) - inner(derivs[p], psi) * inner(
-                psi, derivs[q]
-            )
+            dp, dq, amps = derivs[p].amplitudes, derivs[q].amplitudes, psi.amplitudes
+            G = np.vdot(dp, dq) - np.vdot(dp, amps) * np.vdot(amps, dq)
             naive[p, q] = G.real
     assert np.allclose(metric_exact(spec, params), naive, atol=1e-12)
 
@@ -144,7 +143,7 @@ def test_metric_matches_fidelity_hessian():
     base = prepare_state(spec, params)
 
     def fid(shift):
-        return abs(inner(base, prepare_state(spec, params + shift))) ** 2
+        return abs(np.vdot(base.amplitudes, prepare_state(spec, params + shift).amplitudes)) ** 2
 
     def hess(p, q, eps):
         ep = np.zeros(P)

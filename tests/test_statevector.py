@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
 
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.statevector import (
     RotationGate,
+    StateVector,
     apply_controlled,
-    apply_pauli,
     apply_rotation,
-    basis_state,
     expectation,
-    inner,
+    pauli_apply_raw,
     plus_state,
+    sum_apply_raw,
+    sum_expectation_raw,
 )
 from oracles import dense_ground, dense_hamiltonian, dense_rotation, kron_chain
 
 LETTERS = ["I", "X", "Y", "Z"]
+
+
+def basis_state(n, index=0):
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(n, amps)
 
 
 def random_string(rng, n, allow_identity=False):
@@ -83,8 +91,8 @@ def test_pauli_apply_matches_dense():
         string = random_string(rng, n)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
-        out = apply_pauli(type(plus_state(n))(n, amps.copy()), string)
-        np.testing.assert_allclose(out.amplitudes, kron_chain(string.ops, n) @ amps, atol=1e-12)
+        out = pauli_apply_raw(amps, string)
+        np.testing.assert_allclose(out, kron_chain(string.ops, n) @ amps, atol=1e-12)
 
 
 def test_norm_preserved_over_long_random_sequence():
@@ -181,8 +189,74 @@ def test_ground_state_energy_expectation_small_chain():
 
 def test_inner_products():
     s = plus_state(3)
-    assert inner(s, s) == pytest.approx(1.0)
-    assert inner(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(0.0)
+    assert np.vdot(s.amplitudes, s.amplitudes) == pytest.approx(1.0)
+    assert np.vdot(basis_state(1, 0).amplitudes, basis_state(1, 1).amplitudes) == pytest.approx(0.0)
     rot = apply_rotation(plus_state(1), RotationGate(PauliString.from_ops({0: "Z"}), 0.4))
     # <+|Rz(phi)|+> = cos(phi) under the exp(-i phi Z) convention
-    assert inner(plus_state(1), rot) == pytest.approx(np.cos(0.4), abs=1e-12)
+    assert np.vdot(plus_state(1).amplitudes, rot.amplitudes) == pytest.approx(np.cos(0.4), abs=1e-12)
+
+
+def _check_sum_kernels(H, dense, rng):
+    """obs @ B and the row means <b|obs|b> against a dense matrix, for
+    random complex batches of 1 and 7 rows (row means only where the
+    sum is hermitian)."""
+    dim = dense.shape[0]
+    for rows in (1, 7):
+        B = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        B /= np.linalg.norm(B, axis=1, keepdims=True)
+        HB = B @ dense.T
+        np.testing.assert_allclose(sum_apply_raw(B, H), HB, rtol=0, atol=1e-12)
+        if H.is_hermitian():
+            means = np.einsum("ij,ij->i", B.conj(), HB).real
+            np.testing.assert_allclose(sum_expectation_raw(B, H), means, rtol=0, atol=1e-12)
+            assert expectation(StateVector(H.n_qubits, B[0]), H) == pytest.approx(means[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+@pytest.mark.parametrize("b", (0, 1))
+def test_grouped_kernels_match_dense_hamiltonian(L, b):
+    rng = np.random.default_rng(100 * L + b)
+    j_max = L if b else L - 1
+    for v in (0.0, 0.7, np.inf):
+        for j in sorted({1, L // 2, j_max}):
+            H = build_hamiltonian(ModelParams(L=L, b=b, v=v, j=j))
+            _check_sum_kernels(H, dense_hamiltonian(L, b, v, j), rng)
+
+
+GENERIC_TERMS = [  # (coefficient, site -> letter) on 4 qubits
+    (0.4, {}), (-1.3, {0: "Z"}), (0.8, {1: "Z", 3: "Z"}), (-0.6, {2: "X"}),
+    (0.9, {1: "Y"}), (0.5, {0: "X", 3: "X"}), (-0.7, {0: "X", 1: "Y", 2: "Z"}),
+    (1.1, {2: "Y", 3: "Y"}), (0.3, {1: "Z", 2: "X"}),
+]
+
+
+def _sum_and_dense(terms, L=4):
+    H = WeightedPauliSum(L, [(c, PauliString.from_ops(ops)) for c, ops in terms])
+    return H, sum(c * kron_chain(ops, L) for c, ops in terms)
+
+
+def test_grouped_kernels_on_generic_sums():
+    rng = np.random.default_rng(5)
+    H, dense = _sum_and_dense(GENERIC_TERMS)
+    _, xsites, rest = H.grouped()
+    assert len(xsites) == 1 and len(rest) == 5
+    _check_sum_kernels(H, dense, rng)
+    # complex weights leave the real diagonal and X groups for the rest
+    H, dense = _sum_and_dense(GENERIC_TERMS + [(0.2j, {0: "Z"}), (0.5 - 0.1j, {3: "X"})])
+    assert not H.is_hermitian()
+    _check_sum_kernels(H, dense, rng)
+
+
+def test_add_after_use_regroups():
+    rng = np.random.default_rng(8)
+    H = build_hamiltonian(ModelParams(L=5, b=1, v=0.7))
+    dense = dense_hamiltonian(5, 1, 0.7, 2)
+    _check_sum_kernels(H, dense, rng)
+    grouped = H.grouped()
+    assert H.grouped() is grouped
+    extra = [(0.3, {0: "Z"}), (-0.8, {4: "X"}), (0.6, {1: "Y", 2: "X"})]
+    for c, ops in extra:
+        H.add(c, PauliString.from_ops(ops))
+        dense = dense + c * kron_chain(ops, 5)
+        _check_sum_kernels(H, dense, rng)
+    assert H.grouped() is not grouped
