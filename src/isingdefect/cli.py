@@ -266,6 +266,13 @@ def _optimized(config: ExperimentConfig, L: int, v: float, seed: int):
     return mp, spec, state, trace
 
 
+def _mean_se(per_run):
+    """Mean of the per-run values and its standard error (0 for one run)."""
+    arr = np.array(per_run)
+    se = float(arr.std() / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
+
+
 def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
     """Per-term sampling of <H>, repeated over runs; mean and spread."""
     per_run = []
@@ -276,9 +283,7 @@ def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
                 state, term, plan_base, circuit_id=f"energy:{tag}:run{run}:t{k}")
             total += coeff.real * rec.value
         per_run.append(total)
-    arr = np.array(per_run)
-    se = float(arr.std() / np.sqrt(runs)) if runs > 1 else 0.0
-    return float(arr.mean()), se
+    return _mean_se(per_run)
 
 
 def _write_text(path: Path, text: str):
@@ -366,15 +371,11 @@ def _run_ybar(config, out_dir, outputs, dump_hamiltonian, dump_state):
         seed = config.seed + idx
         mp, spec, state, _ = _optimized(config, L, v, seed)
         psi = prepare_state(spec, state.params)
-        per_run = []
-        for run in range(runs):
-            plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
-            rec = ybar_hadamard(spec, state.params, plan,
-                                circuit_id=f"ybar:L{L}:v{_vtag(v)}:run{run}")
-            per_run.append(rec.value)
-        arr = np.array(per_run)
-        estimate = float(arr.mean())
-        se = float(arr.std() / np.sqrt(runs)) if runs > 1 else 0.0
+        plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
+        estimate, se = _mean_se([
+            ybar_hadamard(spec, state.params, plan,
+                          circuit_id=f"ybar:L{L}:v{_vtag(v)}:run{run}").value
+            for run in range(runs)])
         exact = ybar_exact(psi)
         tag = f"L{L}_v{_vtag(v)}"
         _dump_instance(config, mp, psi, out_dir, tag, outputs,

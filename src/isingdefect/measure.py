@@ -3,14 +3,16 @@
 A test runs on an (L+1)-qubit register, ancilla on the top wire starting in
 |+>: controlled insertions act on the ancilla=1 branch only, and measuring
 the ancilla in X gives Re<phi_0|phi_1>, in Y Im<phi_0|phi_1>, where
-phi_0/phi_1 are the branch states. For the QNG gradient and metric tests
-every such mean is an overlap of the derivative states d_p = d psi/d theta_p,
-so `gradient_shot` and `metric_shot` read all of them from one
-`ansatz.derivative_sweep` and sample each mean under its circuit id:
+phi_0/phi_1 are the branch states. Every such mean is an overlap of L-qubit
+states, so no (L+1)-qubit register is built: `gradient_shot` and
+`metric_shot` read theirs from one `ansatz.derivative_sweep` (d_p =
+d psi/d theta_p), `observables.ybar_hadamard` reads the loop overlap, and
+each mean is sampled under its circuit id:
 
     grad:p{p}:t{t}    X   Re<psi| h_t |d_p>  = Re<d_p|h_t psi>
     metric:y:q{q}     Y   Im<psi|d_q>        = -Im<d_q|psi>
     metric:x:p{p}q{q} X   Re<d_q|d_p>
+    ybar:L{L}         X   Re (-q)^L <psi| g_1^-1 ... g_{2L-1}^-1 |psi>
 
 Shot noise is binomial on the +/-1 ancilla outcome. Every circuit owns an
 independent RNG stream derived from (plan.seed, sha256(circuit_id)), so runs
@@ -72,12 +74,6 @@ def _sample_pm1(exact: float, plan: ShotPlan, circuit_id: str, basis: str) -> Es
     value = 2.0 * n_plus / plan.shots - 1.0
     std_error = float(np.sqrt(max(0.0, 1.0 - value * value) / plan.shots))
     return EstimateRecord(value, std_error, plan.shots, circuit_id, basis)
-
-
-def sample_ancilla(state: StateVector, plan: ShotPlan, circuit_id: str) -> EstimateRecord:
-    """X-basis readout of the top-wire ancilla of an already-built test state."""
-    anc = PauliString.from_ops({state.n_qubits - 1: "X"})
-    return _sample_pm1(pauli_expectation(state, anc), plan, circuit_id, "X")
 
 
 def gradient_shot(spec: AnsatzSpec, params, H: WeightedPauliSum, plan: ShotPlan,

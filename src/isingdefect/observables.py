@@ -30,15 +30,9 @@ from functools import reduce
 import numpy as np
 
 from .ansatz import AnsatzSpec, prepare_state
-from .measure import EstimateRecord, ShotPlan, sample_ancilla, sample_pauli_expectation
+from .measure import EstimateRecord, ShotPlan, _sample_pm1, sample_pauli_expectation
 from .paulis import PauliString, WeightedPauliSum
-from .statevector import (
-    RotationGate,
-    StateVector,
-    apply_controlled,
-    pauli_expectation,
-    rotation_apply_raw,
-)
+from .statevector import RotationGate, StateVector, pauli_expectation, rotation_apply_raw
 
 Q = 1j * cmath.exp(1j * math.pi / 4)
 
@@ -113,52 +107,36 @@ def sector_projector(L: int) -> WeightedPauliSum:
     return out
 
 
-def ybar_exact(state: StateVector) -> float:
-    """2 Re[(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>]."""
-    L = state.n_qubits
-    if L > 14:
-        raise ValueError("exact loop expectation guarded to L <= 14")
-    loop = LoopOperator(L)
+def _loop_overlap(state: StateVector) -> complex:
+    """(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>: the rotations act on a
+    copy of psi and their scalars multiply once. Ybar's expectation is twice
+    its real part, which is also the ancilla test's X mean."""
+    loop = LoopOperator(state.n_qubits)
     amps = state.amplitudes.copy()
     scalar = loop.prefactor
     for braid in reversed(loop.braids()):
         phase, rot = braid.rotation(inverse=True)
         scalar *= phase
         rotation_apply_raw(amps, rot)
-    overlap = complex(np.vdot(state.amplitudes, amps))
-    return float(2.0 * (scalar * overlap).real)
+    return scalar * complex(np.vdot(state.amplitudes, amps))
 
 
-def ybar_controlled_state(state: StateVector) -> StateVector:
-    """Ancilla-controlled loop circuit on an existing register state: |+>_anc
-    tensor |psi>, then the controlled phase and controlled inverse braids."""
-    L = state.n_qubits
-    loop = LoopOperator(L)
-    full = StateVector(
-        L + 1,
-        np.concatenate([state.amplitudes, state.amplitudes]) / math.sqrt(2),
-    )
-    scalar = loop.prefactor
-    ops = []
-    for braid in reversed(loop.braids()):
-        phase, rot = braid.rotation(inverse=True)
-        scalar *= phase
-        ops.append(rot)
-    full = apply_controlled(full, L, scalar)
-    for rot in ops:
-        full = apply_controlled(full, L, rot)
-    return full
+def ybar_exact(state: StateVector) -> float:
+    """2 Re[(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>]."""
+    if state.n_qubits > 14:
+        raise ValueError("exact loop expectation guarded to L <= 14")
+    return float(2.0 * _loop_overlap(state).real)
 
 
 def ybar_hadamard(spec: AnsatzSpec, params, plan: ShotPlan,
                   circuit_id: str | None = None) -> EstimateRecord:
     """Loop-operator estimate from the ancilla test on the circuit state:
-    2 times the X-basis ancilla mean."""
+    the X-basis ancilla mean is read from the loop overlap and sampled under
+    `circuit_id`; value and error bar are twice the mean's."""
     if circuit_id is None:
         circuit_id = f"ybar:L{spec.L}"
-    state = prepare_state(spec, params)
-    full = ybar_controlled_state(state)
-    rec = sample_ancilla(full, plan, circuit_id)
+    mean = _loop_overlap(prepare_state(spec, params)).real
+    rec = _sample_pm1(mean, plan, circuit_id, "X")
     return EstimateRecord(
         2.0 * rec.value, 2.0 * rec.std_error, rec.shots_used, circuit_id, "X"
     )

@@ -163,7 +163,7 @@ class OptimizeOptions:
     seed: int = 0
     rel_tol: float = 1e-3
     grad_tol: float = 1e-6
-    use_oracle: bool | None = None  # None: on; the free-fermion oracle covers every L
+    use_oracle: bool = True  # the free-fermion oracle covers every L
     plain_gradient: bool = False  # identity metric, for head-to-head baselines
 
 
@@ -190,8 +190,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     if spec.boundary != model_params.boundary:
         raise ValueError("ansatz boundary must match the model's")
     H = build_hamiltonian(model_params)
-    use_oracle = opts.use_oracle is not False
-    target = ground_energy_gap(model_params)[0] if use_oracle else None
+    target = ground_energy_gap(model_params)[0] if opts.use_oracle else None
 
     def energy_fn(params):
         return expectation(prepare_state(spec, params), H)

@@ -1,4 +1,4 @@
-"""Dense statevector kernel: states, Pauli rotations, controlled unitaries.
+"""Dense statevector kernel: states, Pauli rotations, Pauli sums.
 
 Amplitudes are flat complex128 arrays with qubit 0 as the least significant
 bit of the basis index. Rotations use the convention R_O(phi) = exp(-i phi O)
@@ -120,50 +120,6 @@ def apply_rotation(state: StateVector, gate: RotationGate) -> StateVector:
         raise ValueError("gate site out of range")
     out = state.copy()
     rotation_apply_raw(out.amplitudes, gate)
-    return out
-
-
-def _apply_unitary_raw(batch, op):
-    """Apply a PauliString, RotationGate, or unit scalar to a raw batch."""
-    if isinstance(op, RotationGate):
-        rotation_apply_raw(batch, op)
-        return batch
-    if isinstance(op, PauliString):
-        batch[...] = pauli_apply_raw(batch, op)
-        return batch
-    phase = complex(op)
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise ValueError("scalar unitary must have unit modulus")
-    batch *= phase
-    return batch
-
-
-def _op_support(op):
-    if isinstance(op, RotationGate):
-        return op.generator.x | op.generator.z
-    if isinstance(op, PauliString):
-        return op.x | op.z
-    return 0
-
-
-def apply_controlled(state: StateVector, control: int, op) -> StateVector:
-    """Apply op on the control=|1> subspace; op is a PauliString, a
-    RotationGate, or a unit-modulus complex scalar (controlled phase)."""
-    if control >= state.n_qubits:
-        raise ValueError("control site out of range")
-    if (_op_support(op) >> control) & 1:
-        raise ValueError("control overlaps the target support")
-    out = state.copy()
-    if control == state.n_qubits - 1:
-        # most significant qubit controls a contiguous upper half
-        half = out.amplitudes.shape[0] >> 1
-        _apply_unitary_raw(out.amplitudes[half:], op)
-        return out
-    dim = out.amplitudes.shape[0]
-    applied = out.amplitudes.copy()
-    _apply_unitary_raw(applied, op)
-    ctrl_on = (_perm(0, dim) >> control) & 1 == 1
-    out.amplitudes[ctrl_on] = applied[ctrl_on]
     return out
 
 

@@ -62,7 +62,6 @@ def _default_factors():
 class ZneSchedule:
     factors: tuple = ()
     degree: int = 2
-    amplification: str = "fold-from-back"
 
     def __post_init__(self):
         factors = tuple(self.factors) or _default_factors()

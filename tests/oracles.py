@@ -119,6 +119,32 @@ def dense_ybar(L):
     return A + A.conj().T
 
 
+def controlled(U):
+    """|0><0| x 1 + |1><1| x U: U controlled by an ancilla on the top wire,
+    the leftmost kron factor."""
+    low, high = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return np.kron(low, np.eye(U.shape[0])) + np.kron(high, U)
+
+
+def ancilla_mean(state, letter):
+    """<sigma^letter> of the top-wire ancilla of an (L+1)-qubit state."""
+    n = state.size.bit_length() - 1
+    return float(np.real(state.conj() @ kron_chain({n - 1: letter}, n) @ state))
+
+
+def loop_ancilla_state(psi):
+    """The loop operator's ancilla test on an L-qubit state psi: |+>_anc x
+    |psi>, then the controlled (-q)^L phase and the controlled inverse
+    braids, g_{2L-1}^-1 first and g_1^-1 last, each from `dense_braid`.
+    Its ancilla X mean is Re (-q)^L <psi| g_1^-1 ... g_{2L-1}^-1 |psi>."""
+    L = psi.size.bit_length() - 1
+    state = np.kron(np.full(2, 2**-0.5), psi)
+    state = controlled((-Q_BRAID) ** L * np.eye(2**L)) @ state
+    for k in range(2 * L - 1, 0, -1):
+        state = controlled(dense_braid(k, L, inverse=True)) @ state
+    return state
+
+
 def _ansatz_layout(L, N, boundary):
     """Gate supports in firing order, per layer: ZZ bonds with the wrap bond
     last, then X on every site, then Z on every site."""
@@ -169,14 +195,6 @@ def ancilla_test_means(L, N, boundary, params, terms):
     if len(params) != len(layout):
         raise ValueError("parameter count does not match the layout")
     gates = [dense_rotation(kron_chain(o, n), t) for o, t in zip(layout, params)]
-    low, high = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    eye = np.eye(2**L)
-
-    def controlled(O):  # the ancilla is the leftmost kron factor
-        return np.kron(low, eye) + np.kron(high, O)
-
-    def ancilla_mean(state, letter):
-        return float(np.real(state.conj() @ kron_chain({L: letter}, n) @ state))
 
     def run(state, start, stop):
         for U in gates[start:stop]:

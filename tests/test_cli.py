@@ -363,6 +363,7 @@ STALE_TRACER_BINDINGS = {
     "isingdefect.qng.exact_ground",
     "isingdefect.zne.rotation_apply_raw",
     "isingdefect.measure.apply_controlled",
+    "isingdefect.observables.apply_controlled",
     "isingdefect.measure.rotation_apply_raw",
     "isingdefect.zne.sum_apply_raw",
 }

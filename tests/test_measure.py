@@ -14,34 +14,33 @@ from isingdefect.measure import (
     estimates_to_csv,
     gradient_shot,
     metric_shot,
-    sample_ancilla,
     sample_pauli_expectation,
 )
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
 from isingdefect.paulis import PauliString
 from isingdefect.qng import gradient_exact, metric_exact
-from isingdefect.statevector import (
-    RotationGate,
-    StateVector,
-    apply_controlled,
-    plus_state,
-)
+from isingdefect.statevector import StateVector
 
 ANALYTIC = ShotPlan(shots=1, analytic=True)
 ZERO = StateVector(1, np.array([1.0, 0.0], dtype=complex))  # |0>
 
 
+def _plus(n):
+    return np.full(2**n, 2 ** (-n / 2), dtype=complex)
+
+
 def test_controlled_identity_gives_one():
-    state = apply_controlled(plus_state(3), 2, PauliString())
-    rec = sample_ancilla(state, ANALYTIC, "id")
+    mean = oracles.ancilla_mean(oracles.controlled(np.eye(4)) @ _plus(3), "X")
+    rec = _sample_pm1(mean, ANALYTIC, "id", "X")
     assert rec.value == pytest.approx(1.0, abs=1e-14)
-    sampled = sample_ancilla(state, ShotPlan(shots=64), "id")
+    sampled = _sample_pm1(mean, ShotPlan(shots=64), "id", "X")
     assert sampled.value == 1.0 and sampled.std_error == 0.0
 
 
 def test_controlled_z_on_plus_gives_zero():
-    state = apply_controlled(plus_state(2), 1, PauliString.from_ops({0: "Z"}))
-    assert sample_ancilla(state, ANALYTIC, "cz").value == pytest.approx(0.0, abs=1e-14)
+    state = oracles.controlled(oracles.SZ) @ _plus(2)
+    mean = oracles.ancilla_mean(state, "X")
+    assert _sample_pm1(mean, ANALYTIC, "cz", "X").value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_analytic_mode_matches_branch_inner_product():
@@ -49,8 +48,8 @@ def test_analytic_mode_matches_branch_inner_product():
     phi0 = prepare_state(spec, init_params(spec, seed=2) * 100)
     phi1 = prepare_state(spec, init_params(spec, seed=3) * 100)
     # |0>_anc |phi0> + |1>_anc |phi1>, ancilla on the top wire
-    state = StateVector(4, np.concatenate([phi0.amplitudes, phi1.amplitudes]) / np.sqrt(2))
-    x = sample_ancilla(state, ANALYTIC, "branches").value
+    state = np.concatenate([phi0.amplitudes, phi1.amplitudes]) / np.sqrt(2)
+    x = _sample_pm1(oracles.ancilla_mean(state, "X"), ANALYTIC, "branches", "X").value
     assert x == pytest.approx(np.vdot(phi0.amplitudes, phi1.amplitudes).real, abs=1e-12)
 
 
@@ -162,16 +161,16 @@ def test_sample_pauli_mixed_letters_match_exact():
 
 def test_shot_error_scales_as_inverse_sqrt():
     # <+|Rz(0.7)|+> = cos 0.7 is the ancilla's X mean
-    rz = RotationGate(PauliString.from_ops({0: "Z"}), 0.7)
-    state = apply_controlled(plus_state(2), 1, rz)
+    state = oracles.controlled(oracles.dense_rotation(oracles.SZ, 0.7)) @ _plus(2)
+    mean = oracles.ancilla_mean(state, "X")
     exact = math.cos(0.7)
-    assert sample_ancilla(state, ANALYTIC, "slope").value == pytest.approx(exact, abs=1e-14)
+    assert _sample_pm1(mean, ANALYTIC, "slope", "X").value == pytest.approx(exact, abs=1e-14)
     shots_grid = [100, 1000, 10000, 100000]
     mean_abs_err = []
     for shots in shots_grid:
         errs = []
         for rep in range(48):
-            rec = sample_ancilla(state, ShotPlan(shots=shots, seed=6), f"slope:s{shots}:r{rep}")
+            rec = _sample_pm1(mean, ShotPlan(shots=shots, seed=6), f"slope:s{shots}:r{rep}", "X")
             errs.append(abs(rec.value - exact))
         mean_abs_err.append(np.mean(errs))
     slope = np.polyfit(np.log(shots_grid), np.log(mean_abs_err), 1)[0]

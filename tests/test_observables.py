@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isingdefect.ansatz import AnsatzSpec, init_params, prepare_state
-from isingdefect.measure import ShotPlan
+from isingdefect.measure import EstimateRecord, ShotPlan, _sample_pm1
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
 from isingdefect.observables import (
     BraidOperator,
@@ -16,7 +16,6 @@ from isingdefect.observables import (
     correlator_zz,
     sector_projector,
     spin_flip_string,
-    ybar_controlled_state,
     ybar_exact,
     ybar_hadamard,
 )
@@ -139,10 +138,29 @@ def test_loop_circuit_on_optimized_state():
     assert abs(rec.value) == pytest.approx(math.sqrt(2), abs=0.05)
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_loop_estimate_matches_ancilla_circuit_oracle(L, boundary):
+    # the estimator reads the ancilla mean from the loop overlap; the oracle
+    # runs the controlled loop circuit on an (L+1)-qubit register
+    spec = AnsatzSpec(L=L, N=2, boundary=boundary)
+    params = init_params(spec, seed=40 + L) * 50
+    psi = prepare_state(spec, params)
+    mean = oracles.ancilla_mean(oracles.loop_ancilla_state(psi.amplitudes), "X")
+    rec = ybar_hadamard(spec, params, ANALYTIC)
+    assert abs(rec.value / 2 - mean) < 1e-12
+    assert abs(rec.value / 2 - ybar_exact(psi) / 2) < 1e-12
+    for seed in range(3):
+        plan = ShotPlan(shots=1024, seed=seed)
+        cid = f"ybar:oracle:L{L}:{boundary}:s{seed}"
+        want = _sample_pm1(mean, plan, cid, "X")
+        assert ybar_hadamard(spec, params, plan, circuit_id=cid) == EstimateRecord(
+            2.0 * want.value, 2.0 * want.std_error, want.shots_used, cid, "X")
+
+
 def test_ancilla_stays_pure_on_loop_eigenstate():
     gs = exact_ground(ModelParams(L=4, b=1, v=0.0)).ground_state
-    full = ybar_controlled_state(gs)
-    A = full.amplitudes.reshape(2, -1)
+    A = oracles.loop_ancilla_state(gs.amplitudes).reshape(2, -1)
     rho = A @ A.conj().T
     purity = float(np.trace(rho @ rho).real)
     assert purity == pytest.approx(1.0, abs=1e-10)

@@ -6,7 +6,6 @@ from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.statevector import (
     RotationGate,
     StateVector,
-    apply_controlled,
     apply_rotation,
     expectation,
     pauli_apply_raw,
@@ -112,55 +111,6 @@ def test_rotation_inverse():
     gate = RotationGate(PauliString.from_ops({1: "Y", 3: "Z"}), 0.77)
     out = apply_rotation(apply_rotation(state, gate), gate.inverse())
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_controlled_identity_and_off_control():
-    s = basis_state(2, 0)  # control qubit 1 is |0>
-    out = apply_controlled(s, 1, PauliString.from_ops({0: "X"}))
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes)
-
-
-def test_controlled_x_makes_bell_state():
-    # control qubit 0 in |+>, target qubit 1 in |0>
-    s = basis_state(2, 0)
-    s.amplitudes[0] = s.amplitudes[1] = 1 / np.sqrt(2)
-    out = apply_controlled(s, 0, PauliString.from_ops({1: "X"}))
-    expect = np.zeros(4, dtype=complex)
-    expect[0b00] = expect[0b11] = 1 / np.sqrt(2)
-    np.testing.assert_allclose(out.amplitudes, expect, atol=1e-12)
-
-
-def test_controlled_ops_match_dense_for_any_control():
-    rng = np.random.default_rng(17)
-    n = 4
-    dim = 1 << n
-    for control in range(n):
-        for _ in range(10):
-            while True:
-                string = random_string(rng, n)
-                if not ((string.x | string.z) >> control) & 1:
-                    break
-            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            amps /= np.linalg.norm(amps)
-            out = apply_controlled(type(plus_state(n))(n, amps.copy()), control, string)
-            proj1 = np.diag(((np.arange(dim) >> control) & 1).astype(float))
-            proj0 = np.eye(dim) - proj1
-            U = proj0 + kron_chain(string.ops, n) @ proj1
-            np.testing.assert_allclose(out.amplitudes, U @ amps, atol=1e-12)
-
-
-def test_controlled_phase_scalar():
-    s = plus_state(2)
-    out = apply_controlled(s, 1, np.exp(0.6j))
-    top = (np.arange(4) >> 1) & 1 == 1
-    np.testing.assert_allclose(out.amplitudes[top], np.exp(0.6j) * s.amplitudes[top])
-    np.testing.assert_allclose(out.amplitudes[~top], s.amplitudes[~top])
-
-
-def test_control_overlap_rejected():
-    s = plus_state(2)
-    with pytest.raises(ValueError):
-        apply_controlled(s, 0, PauliString.from_ops({0: "X"}))
 
 
 def test_expectation_basic():
