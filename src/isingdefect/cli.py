@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -227,43 +228,11 @@ class RunRecord:
     versions: dict
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "outputs": self.outputs,
-            "results": self.results,
-            "wall_time_s": self.wall_time_s,
-            "versions": self.versions,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _spec_for(config: ExperimentConfig, L: int) -> AnsatzSpec:
-    N = config.N if config.N is not None else max(1, L // 2)
-    boundary = "periodic" if config.b == 1 else "open"
-    return AnsatzSpec(L=L, N=N, boundary=boundary)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def _vtag(v: float) -> str:
     return f"{v:g}".replace(".", "p").replace("-", "m")
-
-
-def _instances(config: ExperimentConfig):
-    idx = 0
-    for L in config.L:
-        for v in config.v:
-            yield idx, L, v
-            idx += 1
-
-
-def _optimized(config: ExperimentConfig, L: int, v: float, seed: int):
-    mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
-    spec = _spec_for(config, L)
-    options = OptimizeOptions(eta=config.eta, max_iters=config.max_iters,
-                              seed=seed)
-    state, trace = optimize(spec, mp, options)
-    return mp, spec, state, trace
 
 
 def _mean_se(per_run):
@@ -300,97 +269,70 @@ def _write(out_dir: Path, name: str, text: str, outputs: list):
     outputs.append(name)
 
 
-def _dump_instance(config, mp, state_vec, out_dir, tag, outputs,
-                   dump_hamiltonian, dump_state):
-    if dump_hamiltonian:
-        name = f"hamiltonian_{tag}.npy"
-        np.save(out_dir / name, dense_matrix(build_hamiltonian(mp)))
-        outputs.append(name)
-    if dump_state:
-        name = f"state_{tag}.npy"
-        np.save(out_dir / name, state_vec.amplitudes)
-        outputs.append(name)
+def _save(out_dir: Path, name: str, array, outputs: list):
+    np.save(out_dir / name, array)
+    outputs.append(name)
 
 
-def _run_optimize(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    results = {"instances": []}
+def _run_circuits(config, out_dir, outputs, dump_hamiltonian, dump_state):
+    """Every circuit kind: optimize each (L, v) instance with seed + index,
+    prepare its state, then write the kind's data and record fields."""
+    kind = config.kind
     runs, shots = config.default_runs(), config.default_shots()
-    for idx, L, v in _instances(config):
+    instances, ybar_rows = [], ["L,estimate,std_error,exact"]
+    for idx, (L, v) in enumerate(product(config.L, config.v)):
         seed = config.seed + idx
-        mp, spec, state, trace = _optimized(config, L, v, seed)
-        tag = f"L{L}_v{_vtag(v)}"
-        _write(out_dir, f"trace_{tag}.csv", trace_to_csv(trace), outputs)
-        reference = ground_energy_gap(mp)[0]
+        mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
+        spec = AnsatzSpec(L=L, N=config.N or L // 2, boundary=mp.boundary)
+        state, trace = optimize(spec, mp, OptimizeOptions(
+            eta=config.eta, max_iters=config.max_iters, seed=seed))
         psi = prepare_state(spec, state.params)
-        plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
         H = build_hamiltonian(mp)
-        measured, se = _measured_energy(H, psi, plan, runs, tag)
-        _dump_instance(config, mp, psi, out_dir, tag, outputs,
-                       dump_hamiltonian, dump_state)
-        results["instances"].append({
-            "L": L, "v": v, "b": config.b,
-            "energy": state.energy,
-            "exact_energy": reference,
-            "rel_error": abs(state.energy - reference) / abs(reference),
-            "iterations": state.iteration,
-            "converged": state.converged,
-            "stop_reason": state.stop_reason,
-            "measured_energy": measured,
-            "measured_std_error": se,
-            "runs": runs, "shots": shots,
-        })
-    return results
-
-
-def _run_correlator(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    results = {"instances": []}
-    runs, shots = config.default_runs(), config.default_shots()
-    for idx, L, v in _instances(config):
-        seed = config.seed + idx
-        mp, spec, state, _ = _optimized(config, L, v, seed)
-        tag = f"L{L}_v{_vtag(v)}"
-        psi = prepare_state(spec, state.params)
         plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
-        rows = correlator_profile_shot(psi, plan, runs=runs)
-        _write(out_dir, f"correlator_{tag}.csv", correlator_csv(rows), outputs)
-        _dump_instance(config, mp, psi, out_dir, tag, outputs,
-                       dump_hamiltonian, dump_state)
-        results["instances"].append({
-            "L": L, "v": v, "j": mp.j, "converged": state.converged,
-            "profile": [[r, value, se] for r, value, se in rows],
-            "runs": runs, "shots": shots,
-        })
-    return results
-
-
-def _run_ybar(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    results = {"instances": []}
-    runs, shots = config.default_runs(), config.default_shots()
-    rows = []
-    for idx, L, v in _instances(config):
-        seed = config.seed + idx
-        mp, spec, state, _ = _optimized(config, L, v, seed)
-        psi = prepare_state(spec, state.params)
-        plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
-        estimate, se = _mean_se([
-            ybar_hadamard(spec, state.params, plan,
-                          circuit_id=f"ybar:L{L}:v{_vtag(v)}:run{run}").value
-            for run in range(runs)])
-        exact = ybar_exact(psi)
         tag = f"L{L}_v{_vtag(v)}"
-        _dump_instance(config, mp, psi, out_dir, tag, outputs,
-                       dump_hamiltonian, dump_state)
-        rows.append((L, estimate, se, exact))
-        results["instances"].append({
-            "L": L, "v": v, "estimate": estimate, "std_error": se,
-            "exact": exact, "converged": state.converged,
-            "runs": runs, "shots": shots,
-        })
-    lines = ["L,estimate,std_error,exact"]
-    for L, est, se, exact in rows:
-        lines.append(f"{L},{est:.17g},{se:.17g},{exact:.17g}")
-    _write(out_dir, "ybar.csv", "\n".join(lines) + "\n", outputs)
-    return results
+        inst = {"L": L, "v": v, "converged": state.converged}
+        if kind == "optimize":
+            _write(out_dir, f"trace_{tag}.csv", trace_to_csv(trace), outputs)
+            reference = ground_energy_gap(mp)[0]
+            measured, se = _measured_energy(H, psi, plan, runs, tag)
+            inst.update(b=config.b, energy=state.energy, exact_energy=reference,
+                        rel_error=abs(state.energy - reference) / abs(reference),
+                        iterations=state.iteration, stop_reason=state.stop_reason,
+                        measured_energy=measured, measured_std_error=se)
+        elif kind == "correlator":
+            rows = correlator_profile_shot(psi, plan, runs=runs)
+            _write(out_dir, f"correlator_{tag}.csv", correlator_csv(rows), outputs)
+            inst.update(j=mp.j, profile=[list(row) for row in rows])
+        elif kind == "ybar":
+            estimate, se = _mean_se([
+                ybar_hadamard(spec, state.params, plan,
+                              circuit_id=f"ybar:L{L}:v{_vtag(v)}:run{run}").value
+                for run in range(runs)])
+            exact = ybar_exact(psi)
+            ybar_rows.append(f"{L},{estimate:.17g},{se:.17g},{exact:.17g}")
+            inst.update(estimate=estimate, std_error=se, exact=exact)
+        else:
+            report = zne_pipeline(
+                ansatz_circuit(spec, state.params), H,
+                NoiseModel(p2=config.p2, p1=config.p1),
+                ZneSchedule(factors=config.factors or (), degree=config.degree),
+                config.trajectories, seed=seed)
+            _write(out_dir, f"zne_{tag}.json",
+                   json.dumps(report, indent=2, sort_keys=True) + "\n", outputs)
+            inst.update(unmitigated=report["estimates"][0],
+                        extrapolated=report["extrapolated"],
+                        noiseless_reference=report["noiseless_reference"],
+                        exact_energy=ground_energy_gap(mp)[0])
+        if kind != "zne":
+            inst.update(runs=runs, shots=shots)
+        if dump_hamiltonian:
+            _save(out_dir, f"hamiltonian_{tag}.npy", dense_matrix(H), outputs)
+        if dump_state:
+            _save(out_dir, f"state_{tag}.npy", psi.amplitudes, outputs)
+        instances.append(inst)
+    if kind == "ybar":
+        _write(out_dir, "ybar.csv", "\n".join(ybar_rows) + "\n", outputs)
+    return {"instances": instances}
 
 
 def _run_energy_scan(config, out_dir, outputs, dump_hamiltonian, dump_state):
@@ -402,46 +344,9 @@ def _run_energy_scan(config, out_dir, outputs, dump_hamiltonian, dump_state):
         if dump_hamiltonian:
             for v in config.v:
                 mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
-                name = f"hamiltonian_L{L}_v{_vtag(v)}.npy"
-                np.save(out_dir / name, dense_matrix(build_hamiltonian(mp)))
-                outputs.append(name)
+                _save(out_dir, f"hamiltonian_L{L}_v{_vtag(v)}.npy",
+                      dense_matrix(build_hamiltonian(mp)), outputs)
     return results
-
-
-def _run_zne(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    results = {"instances": []}
-    noise = NoiseModel(p2=config.p2, p1=config.p1)
-    schedule = ZneSchedule(factors=config.factors or (), degree=config.degree)
-    for idx, L, v in _instances(config):
-        seed = config.seed + idx
-        mp, spec, state, _ = _optimized(config, L, v, seed)
-        circuit = ansatz_circuit(spec, state.params)
-        H = build_hamiltonian(mp)
-        report = zne_pipeline(circuit, H, noise, schedule,
-                              config.trajectories, seed=seed)
-        tag = f"L{L}_v{_vtag(v)}"
-        _write(out_dir, f"zne_{tag}.json",
-               json.dumps(report, indent=2, sort_keys=True) + "\n", outputs)
-        psi = prepare_state(spec, state.params)
-        _dump_instance(config, mp, psi, out_dir, tag, outputs,
-                       dump_hamiltonian, dump_state)
-        results["instances"].append({
-            "L": L, "v": v, "converged": state.converged,
-            "unmitigated": report["estimates"][0],
-            "extrapolated": report["extrapolated"],
-            "noiseless_reference": report["noiseless_reference"],
-            "exact_energy": ground_energy_gap(mp)[0],
-        })
-    return results
-
-
-_RUNNERS = {
-    "optimize": _run_optimize,
-    "correlator": _run_correlator,
-    "ybar": _run_ybar,
-    "energy-scan": _run_energy_scan,
-    "zne": _run_zne,
-}
 
 
 def run(config: ExperimentConfig, out_dir,
@@ -460,8 +365,8 @@ def run(config: ExperimentConfig, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     outputs = []
-    results = _RUNNERS[config.kind](config, out_dir, outputs,
-                                    dump_hamiltonian, dump_state)
+    runner = _run_energy_scan if config.kind == "energy-scan" else _run_circuits
+    results = runner(config, out_dir, outputs, dump_hamiltonian, dump_state)
     record = RunRecord(
         kind=config.kind,
         config_hash=config_hash(config),

@@ -79,9 +79,6 @@ class PauliString:
     def is_hermitian(self):
         return self.conjugate() == self
 
-    def is_identity(self):
-        return self.x == 0 and self.z == 0
-
     def max_site(self):
         support = self.x | self.z
         return support.bit_length() - 1 if support else -1

@@ -1,11 +1,13 @@
 """Config parsing, validation diagnostics, run plumbing, and exit codes."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isingdefect.cli import (
+    KINDS,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -20,6 +22,8 @@ from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
 
 import oracles
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write_cfg(tmp_path, text, name="exp.cfg"):
@@ -109,10 +113,10 @@ def test_config_hash_tracks_content():
 
 
 def test_shipped_templates_parse_and_validate():
-    import pathlib
-    for name in ("fig2b", "fig2c", "fig3c", "fig3d", "scan"):
-        cfg = load_config(pathlib.Path("configs") / f"{name}.cfg")
-        assert validate(cfg) == [], name
+    paths = sorted((REPO / "configs").glob("*.cfg"))
+    assert {"fig2b", "fig2c", "fig3c", "fig3d", "scan"} <= {p.stem for p in paths}
+    for path in paths:
+        assert validate(load_config(path)) == [], path.name
 
 
 def test_run_optimize_writes_trace_and_record(tmp_path):
@@ -246,16 +250,71 @@ def test_run_zne_writes_report(tmp_path):
         exact_ground(ModelParams(L=4)).ground_energy, rel=1e-3)
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = ExperimentConfig(kind="correlator", L=(4,), b=0, v=(0.0,),
-                           runs=3, shots=64, seed=5)
-    a = run(cfg, tmp_path / "a")
-    b = run(cfg, tmp_path / "b")
-    assert a.config_hash == b.config_hash
-    assert a.results == b.results
+# One small two-instance config per kind, run with every dump flag it allows.
+KIND_CONFIGS = {
+    "optimize": ExperimentConfig(kind="optimize", L=(4,), v=(0.0, 1.0),
+                                 runs=2, shots=64, seed=5),
+    "correlator": ExperimentConfig(kind="correlator", L=(4,), v=(0.0, 1.0),
+                                   runs=3, shots=64, seed=5),
+    "ybar": ExperimentConfig(kind="ybar", L=(4,), b=1, v=(0.0, 1.0),
+                             runs=2, shots=64, seed=5),
+    "energy-scan": ExperimentConfig(kind="energy-scan", L=(4,), v=(0.0, 1.0)),
+    "zne": ExperimentConfig(kind="zne", L=(4,), v=(0.0, 1.0), factors=(1.0, 2.0),
+                            degree=1, trajectories=40, p1=0.01, seed=5),
+}
+
+
+def _run_kind(kind, out_dir):
+    return run(KIND_CONFIGS[kind], out_dir, dump_hamiltonian=True,
+               dump_state=kind != "energy-scan")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerun_is_byte_identical(tmp_path, kind):
+    a = _run_kind(kind, tmp_path / "a")
+    b = _run_kind(kind, tmp_path / "b")
+    assert a.outputs == b.outputs
     for name in a.outputs:
         assert (tmp_path / "a" / name).read_bytes() == \
-               (tmp_path / "b" / name).read_bytes()
+               (tmp_path / "b" / name).read_bytes(), name
+    records = [[line for line in (tmp_path / side / "record.json").read_text().splitlines()
+                if '"wall_time_s"' not in line] for side in "ab"]
+    assert records[0] == records[1]
+
+
+_SHOT_KEYS = {"runs", "shots"}
+RECORD_LAYOUTS = {
+    "optimize": (["trace_{tag}.csv", "hamiltonian_{tag}.npy", "state_{tag}.npy"], [],
+                 {"L", "v", "b", "energy", "exact_energy", "rel_error", "iterations",
+                  "converged", "stop_reason", "measured_energy",
+                  "measured_std_error"} | _SHOT_KEYS),
+    "correlator": (["correlator_{tag}.csv", "hamiltonian_{tag}.npy", "state_{tag}.npy"],
+                   [], {"L", "v", "j", "converged", "profile"} | _SHOT_KEYS),
+    "ybar": (["hamiltonian_{tag}.npy", "state_{tag}.npy"], ["ybar.csv"],
+             {"L", "v", "estimate", "std_error", "exact", "converged"} | _SHOT_KEYS),
+    "energy-scan": (["hamiltonian_{tag}.npy"], [], {"L", "points"}),
+    "zne": (["zne_{tag}.json", "hamiltonian_{tag}.npy", "state_{tag}.npy"], [],
+            {"L", "v", "converged", "unmitigated", "extrapolated",
+             "noiseless_reference", "exact_energy"}),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_record_layout_per_kind(tmp_path, kind):
+    # outputs are listed in write order: per instance its data file, then its
+    # dumps; ybar.csv after every instance; a scan's table before its dumps
+    per_instance, trailing, keys = RECORD_LAYOUTS[kind]
+    record = _run_kind(kind, tmp_path)
+    want = ["scan_L4.csv"] if kind == "energy-scan" else []
+    for tag in ("L4_v0", "L4_v1"):
+        want += [name.format(tag=tag) for name in per_instance]
+    assert record.outputs == want + trailing
+    assert [set(inst) for inst in record.results["instances"]] == \
+           [keys] * (1 if kind == "energy-scan" else 2)
+    manifest = json.loads((tmp_path / "record.json").read_text())
+    assert set(manifest) == {"kind", "config", "config_hash", "outputs", "results",
+                             "versions", "wall_time_s"}
+    assert manifest["outputs"] == record.outputs
 
 
 def test_rerun_into_a_used_directory_leaves_no_stale_bytes(tmp_path):
@@ -343,9 +402,8 @@ def test_benchmark_imports_still_resolve():
     # name would break it with no other test failing
     import ast
     import importlib
-    from pathlib import Path
 
-    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    source = REPO / "perfbench" / "workloads.py"
     names = []
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("isingdefect"):
@@ -374,9 +432,8 @@ def test_stale_tracer_bindings_are_listed():
     # skips a name that is gone, so a moved call site zeroes a figure silently
     import ast
     import importlib
-    from pathlib import Path
 
-    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    source = REPO / "perfbench" / "tracer.py"
     bindings = next(
         ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BINDINGS"
