@@ -27,7 +27,14 @@ from functools import lru_cache
 import numpy as np
 
 from .paulis import PauliString
-from .statevector import RotationGate, StateVector, _zsigns, plus_state, rotation_apply_raw
+from .statevector import (
+    RotationGate,
+    StateVector,
+    _pair_view,
+    _zsigns,
+    plus_state,
+    rotation_apply_raw,
+)
 
 _BOUNDARIES = ("open", "periodic")
 FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
@@ -191,11 +198,11 @@ def _circuit_pass(spec: AnsatzSpec, params, derivatives: bool) -> np.ndarray:
                 np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
         else:
             _x_block(live, keys, angles, L)
-            if derivatives:  # -i X_site flips one axis of a reshaped view
+            if derivatives:  # -i X_site flips the pair axis of a view
                 psi_mi = -1j * psi
                 for p, site in enumerate(keys, start + 1):
-                    shape = (dim >> (site + 1), 2, 1 << site)
-                    batch[p].reshape(shape)[...] = psi_mi.reshape(shape)[:, ::-1]
+                    flipped = _pair_view(psi_mi, site, dim)[..., ::-1, :]
+                    _pair_view(batch[p], site, dim)[...] = flipped
     return batch
 
 

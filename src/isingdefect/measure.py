@@ -1,4 +1,4 @@
-"""Ancilla Hadamard tests with simulated finite-shot readout.
+"""Ancilla Hadamard tests and Pauli readouts with simulated finite shots.
 
 A test runs on an (L+1)-qubit register, ancilla on the top wire starting in
 |+>: controlled insertions act on the ancilla=1 branch only, and measuring
@@ -13,11 +13,18 @@ each mean is sampled under its circuit id:
     metric:y:q{q}     Y   Im<psi|d_q>        = -Im<d_q|psi>
     metric:x:p{p}q{q} X   Re<d_q|d_p>
     ybar:L{L}         X   Re (-q)^L <psi| g_1^-1 ... g_{2L-1}^-1 |psi>
+    pauli:{l}{s}...   X   <psi| P |psi>, P a hermitian Pauli string
 
-Shot noise is binomial on the +/-1 ancilla outcome. Every circuit owns an
-independent RNG stream derived from (plan.seed, sha256(circuit_id)), so runs
-are reproducible and circuits can be sampled in any order. analytic=True
-skips sampling and reports the exact mean with zero error bar.
+The last is a direct readout (`sample_pauli_expectation`: correlators and
+re-measured energies). The product of a bitstring's +/-1 eigenvalues is
+itself a +/-1 outcome with mean <P>, so it needs no basis rotation or
+bitstring draw either.
+
+Shot noise is binomial on the +/-1 outcome, drawn by `_sample_pm1` for
+every circuit kind. Every circuit owns an independent RNG stream derived
+from (plan.seed, sha256(circuit_id)), so runs are reproducible and circuits
+can be sampled in any order. analytic=True skips sampling and reports the
+exact mean with zero error bar.
 """
 from __future__ import annotations
 
@@ -27,15 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzSpec, derivative_sweep
-from .paulis import PauliString, WeightedPauliSum, parity_signs
+from .paulis import PauliString, WeightedPauliSum
 from .qng import _gram, _overlaps
-from .statevector import (
-    RotationGate,
-    StateVector,
-    apply_rotation,
-    pauli_apply_raw,
-    pauli_expectation,
-)
+from .statevector import StateVector, pauli_apply_raw, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,10 @@ def metric_shot(spec: AnsatzSpec, params, plan: ShotPlan,
 
 def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPlan,
                              circuit_id: str | None = None) -> EstimateRecord:
-    """Rotate to the computational basis, sample bitstrings, average the
-    +/-1 eigenvalue products."""
+    """<obs> of a hermitian Pauli string, sampled like every ancilla test:
+    a shot's product of +/-1 eigenvalues is +1 with probability
+    (1 + <obs>)/2, so one `_sample_pm1` draw on the exact mean has the
+    statistics of a bitstring draw. The default id is pauli:{letter}{site}..."""
     if not obs.is_hermitian():
         raise ValueError("observable string must be hermitian")
     if obs.max_site() >= state.n_qubits:
@@ -132,26 +135,7 @@ def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPla
     if circuit_id is None:
         name = "".join(f"{l}{s}" for s, l in sorted(obs.ops.items())) or "I"
         circuit_id = f"pauli:{name}"
-    if plan.analytic:
-        return EstimateRecord(pauli_expectation(state, obs), 0.0, 0, circuit_id, "X")
-    rotated = state
-    for site, letter in obs.ops.items():
-        if letter == "X":
-            rotated = apply_rotation(
-                rotated, RotationGate(PauliString.from_ops({site: "Y"}), -np.pi / 4)
-            )
-        elif letter == "Y":
-            rotated = apply_rotation(
-                rotated, RotationGate(PauliString.from_ops({site: "X"}), np.pi / 4)
-            )
-    probs = np.abs(rotated.amplitudes) ** 2
-    probs /= probs.sum()
-    signs = parity_signs(obs.x | obs.z, probs.size)
-    rng = circuit_rng(plan.seed, circuit_id)
-    counts = rng.multinomial(plan.shots, probs)
-    value = float(counts @ signs) / plan.shots
-    std_error = float(np.sqrt(max(0.0, 1.0 - value * value) / plan.shots))
-    return EstimateRecord(value, std_error, plan.shots, circuit_id, "X")
+    return _sample_pm1(pauli_expectation(state, obs), plan, circuit_id, "X")
 
 
 def estimates_to_csv(records) -> str:

@@ -163,7 +163,6 @@ class OptimizeOptions:
     seed: int = 0
     rel_tol: float = 1e-3
     grad_tol: float = 1e-6
-    use_oracle: bool = True  # the free-fermion oracle covers every L
     plain_gradient: bool = False  # identity metric, for head-to-head baselines
 
 
@@ -172,7 +171,7 @@ class TraceRow:
     iteration: int
     energy: float
     grad_norm: float
-    rel_error: float = math.nan
+    rel_error: float
 
 
 def trace_to_csv(trace) -> str:
@@ -190,7 +189,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     if spec.boundary != model_params.boundary:
         raise ValueError("ansatz boundary must match the model's")
     H = build_hamiltonian(model_params)
-    target = ground_energy_gap(model_params)[0] if opts.use_oracle else None
+    target = ground_energy_gap(model_params)[0]
 
     def energy_fn(params):
         return expectation(prepare_state(spec, params), H)
@@ -211,11 +210,11 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         grad = 2.0 * w[:, 2]
         state.energy = energy
         state.grad_norm = float(np.linalg.norm(grad))
-        rel = math.nan if target is None else abs(energy - target) / abs(target)
+        rel = abs(energy - target) / abs(target)
         trace.append(TraceRow(state.iteration, energy, state.grad_norm, rel))
         if best is None or energy < best.energy:
             best = replace(state, params=state.params.copy())
-        if target is not None and rel < opts.rel_tol:
+        if rel < opts.rel_tol:
             state.converged, state.stop_reason = True, "rel_tol"
             break
         if state.grad_norm < opts.grad_tol:

@@ -5,9 +5,9 @@ bit of the basis index. Rotations use the convention R_O(phi) = exp(-i phi O)
 with no half-angle factor, so d/dphi R = (-iO) R and derivative insertions
 are exactly -iO.
 
-The public API works on StateVector values and returns new states. The _raw
-helpers operate in place on arrays whose last axis is the Hilbert dimension,
-so a (k, 2^n) batch evolves through a gate in one vectorized call; the
+The public API reads StateVector values. The _raw helpers work on arrays
+whose last axis is the Hilbert dimension (rotations in place), so a
+(k, 2^n) batch evolves through a gate in one vectorized call; the
 optimizer and measurement modules build on them.
 """
 from __future__ import annotations
@@ -113,14 +113,6 @@ def rotation_apply_raw(batch: np.ndarray, gate: RotationGate) -> None:
     rotated = pauli_apply_raw(batch, g)
     batch *= np.cos(gate.angle)
     batch += (-1j * np.sin(gate.angle)) * rotated
-
-
-def apply_rotation(state: StateVector, gate: RotationGate) -> StateVector:
-    if gate.generator.max_site() >= state.n_qubits:
-        raise ValueError("gate site out of range")
-    out = state.copy()
-    rotation_apply_raw(out.amplitudes, gate)
-    return out
 
 
 def sum_apply_raw(amps: np.ndarray, obs: WeightedPauliSum) -> np.ndarray:

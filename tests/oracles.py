@@ -21,6 +21,13 @@ def kron_chain(ops, L):
     return reduce(np.kron, mats)
 
 
+def pauli_mean(psi, ops):
+    """<psi| P |psi> for the Pauli string ops ({site: letter}) on the
+    L-qubit state psi, from its `kron_chain` matrix."""
+    L = psi.size.bit_length() - 1
+    return float(np.real(psi.conj() @ kron_chain(ops, L) @ psi))
+
+
 def dense_hamiltonian(L, b, v, j):
     """Ising chain with boundary coupling b and impurity of strength v at
     the bond (j, j+1), j 1-based."""

@@ -147,7 +147,7 @@ def test_sample_pauli_zz_ground_state():
 
 
 def test_sample_pauli_mixed_letters_match_exact():
-    # rotation bookkeeping for X and Y factors against the exact path
+    # X and Y factors against the exact path
     spec = AnsatzSpec(L=3, N=2)
     params = init_params(spec, seed=14) * 100
     state = prepare_state(spec, params)
@@ -157,6 +157,30 @@ def test_sample_pauli_mixed_letters_match_exact():
         from isingdefect.statevector import pauli_expectation
 
         assert abs(got.value - pauli_expectation(state, s)) < 0.01
+
+
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_sample_pauli_is_one_draw_on_the_oracle_mean(L):
+    # a Pauli readout is sampled like every ancilla test: one binomial draw
+    # on its exact mean, under the circuit id pauli:{letter}{site}...
+    rng = np.random.default_rng(L)
+    strings = [{1: "Z"}, {0: "Z", L - 1: "Z"}, {L - 1: "X"}, {0: "Y"},
+               {0: "X", 1: "Y", L - 1: "Z"}]
+    for trial in range(3):
+        psi = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+        psi /= np.linalg.norm(psi)
+        state = StateVector(L, psi)
+        plan = ShotPlan(shots=1024, seed=trial)
+        for ops in strings:
+            m = oracles.pauli_mean(psi, ops)
+            cid = "pauli:" + "".join(f"{l}{s}" for s, l in sorted(ops.items()))
+            obs = PauliString.from_ops(ops)
+            assert sample_pauli_expectation(state, obs, plan) == _sample_pm1(m, plan, cid, "X")
+            exact = sample_pauli_expectation(state, obs, ANALYTIC)
+            assert exact.circuit_id == cid and exact.std_error == 0.0
+            assert abs(exact.value - m) < 1e-12
+    with pytest.raises(ValueError, match="out of range"):
+        sample_pauli_expectation(state, PauliString.from_ops({L: "Z"}), ANALYTIC)
 
 
 def test_shot_error_scales_as_inverse_sqrt():

@@ -6,10 +6,10 @@ from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.statevector import (
     RotationGate,
     StateVector,
-    apply_rotation,
     expectation,
     pauli_apply_raw,
     plus_state,
+    rotation_apply_raw,
     sum_apply_raw,
     sum_expectation_raw,
 )
@@ -22,6 +22,13 @@ def basis_state(n, index=0):
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)
+
+
+def apply_rotation(state, gate):
+    """The gate applied to a copy of the state."""
+    out = state.copy()
+    rotation_apply_raw(out.amplitudes, gate)
+    return out
 
 
 def random_string(rng, n, allow_identity=False):
