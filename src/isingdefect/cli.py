@@ -40,7 +40,7 @@ import scipy
 
 from . import __version__
 from .ansatz import AnsatzSpec, prepare_state
-from .measure import ShotPlan, sample_pauli_expectation
+from .measure import ShotPlan, _sample_pm1
 from .model import (
     ModelParams,
     build_hamiltonian,
@@ -52,10 +52,11 @@ from .observables import (
     correlator_csv,
     correlator_profile_shot,
     ybar_exact,
-    ybar_hadamard,
+    ybar_shots,
 )
 from .paulis import DENSE_LIMIT, dense_matrix
 from .qng import OptimizeOptions, optimize, trace_to_csv
+from .statevector import pauli_expectation
 from .zne import NoiseModel, ZneSchedule, ansatz_circuit, zne_pipeline
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
@@ -243,16 +244,15 @@ def _mean_se(per_run):
 
 
 def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
-    """Per-term sampling of <H>, repeated over runs; mean and spread."""
-    per_run = []
-    for run in range(runs):
-        total = 0.0
-        for k, (coeff, term) in enumerate(H.terms()):
-            rec = sample_pauli_expectation(
-                state, term, plan_base, circuit_id=f"energy:{tag}:run{run}:t{k}")
-            total += coeff.real * rec.value
-        per_run.append(total)
-    return _mean_se(per_run)
+    """Per-term sampling of <H>, repeated over runs; mean and spread. Each
+    term's exact mean is read once and every (run, term) circuit is drawn
+    in one batch."""
+    terms = list(H.terms())
+    means = [pauli_expectation(state, term) for _, term in terms]
+    ids = [f"energy:{tag}:run{run}:t{k}" for run in range(runs) for k in range(len(terms))]
+    values = _sample_pm1(np.tile(means, runs), plan_base, ids, "X")
+    return _mean_se([sum(c.real * value for (c, _), value in zip(terms, row))
+                     for row in values.reshape(runs, len(terms))])
 
 
 def _write_text(path: Path, text: str):
@@ -304,10 +304,8 @@ def _run_circuits(config, out_dir, outputs, dump_hamiltonian, dump_state):
             _write(out_dir, f"correlator_{tag}.csv", correlator_csv(rows), outputs)
             inst.update(j=mp.j, profile=[list(row) for row in rows])
         elif kind == "ybar":
-            estimate, se = _mean_se([
-                ybar_hadamard(spec, state.params, plan,
-                              circuit_id=f"ybar:L{L}:v{_vtag(v)}:run{run}").value
-                for run in range(runs)])
+            estimate, se = _mean_se([rec.value for rec in ybar_shots(
+                psi, plan, [f"ybar:L{L}:v{_vtag(v)}:run{run}" for run in range(runs)])])
             exact = ybar_exact(psi)
             ybar_rows.append(f"{L},{estimate:.17g},{se:.17g},{exact:.17g}")
             inst.update(estimate=estimate, std_error=se, exact=exact)

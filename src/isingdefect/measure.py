@@ -6,7 +6,7 @@ the ancilla in X gives Re<phi_0|phi_1>, in Y Im<phi_0|phi_1>, where
 phi_0/phi_1 are the branch states. Every such mean is an overlap of L-qubit
 states, so no (L+1)-qubit register is built: `gradient_shot` and
 `metric_shot` read theirs from one `ansatz.derivative_sweep` (d_p =
-d psi/d theta_p), `observables.ybar_hadamard` reads the loop overlap, and
+d psi/d theta_p), `observables.ybar_shots` reads the loop overlap, and
 each mean is sampled under its circuit id:
 
     grad:p{p}:t{t}    X   Re<psi| h_t |d_p>  = Re<d_p|h_t psi>
@@ -15,16 +15,19 @@ each mean is sampled under its circuit id:
     ybar:L{L}         X   Re (-q)^L <psi| g_1^-1 ... g_{2L-1}^-1 |psi>
     pauli:{l}{s}...   X   <psi| P |psi>, P a hermitian Pauli string
 
-The last is a direct readout (`sample_pauli_expectation`: correlators and
-re-measured energies). The product of a bitstring's +/-1 eigenvalues is
-itself a +/-1 outcome with mean <P>, so it needs no basis rotation or
-bitstring draw either.
+The last is a direct readout (`sample_pauli_expectation`; correlators and
+re-measured energies draw theirs under corr: and energy: ids). The product
+of a bitstring's +/-1 eigenvalues is itself a +/-1 outcome with mean <P>,
+so it needs no basis rotation or bitstring draw either.
 
-Shot noise is binomial on the +/-1 outcome, drawn by `_sample_pm1` for
-every circuit kind. Every circuit owns an independent RNG stream derived
-from (plan.seed, sha256(circuit_id)), so runs are reproducible and circuits
-can be sampled in any order. analytic=True skips sampling and reports the
-exact mean with zero error bar.
+Shot noise is binomial on the +/-1 outcome. `_sample_pm1` is the one
+sampler: an estimator computes the exact means of all its circuits first
+and draws them in one batch from one RNG stream, derived from (plan.seed,
+sha256 of the batch's ids joined by newlines). A batch's draws therefore
+depend only on (seed, its ids in order, its means), so runs are
+reproducible; a batch of one id draws from that id's own stream.
+analytic=True skips sampling and reports the exact means with zero error
+bars.
 """
 from __future__ import annotations
 
@@ -66,36 +69,40 @@ def circuit_rng(seed: int, circuit_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
-def _sample_pm1(exact: float, plan: ShotPlan, circuit_id: str, basis: str) -> EstimateRecord:
+def _sample_pm1(means, plan: ShotPlan, ids, basis: str,
+                records: list | None = None) -> np.ndarray:
+    """Sampled values of the +/-1 outcomes with the given exact means, one
+    per circuit id, from one binomial call; records go to `records` in id
+    order. An analytic plan returns the means unchanged."""
+    means = np.asarray(means, dtype=float)
     if plan.analytic:
-        return EstimateRecord(exact, 0.0, 0, circuit_id, basis)
-    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
-    rng = circuit_rng(plan.seed, circuit_id)
-    n_plus = int(rng.binomial(plan.shots, p_plus))
-    value = 2.0 * n_plus / plan.shots - 1.0
-    std_error = float(np.sqrt(max(0.0, 1.0 - value * value) / plan.shots))
-    return EstimateRecord(value, std_error, plan.shots, circuit_id, basis)
+        values, errors, shots = means, np.zeros_like(means), 0
+    else:
+        p_plus = np.clip(0.5 * (1.0 + means), 0.0, 1.0)
+        rng = circuit_rng(plan.seed, "\n".join(ids))
+        values = 2.0 * rng.binomial(plan.shots, p_plus) / plan.shots - 1.0
+        errors = np.sqrt(np.maximum(0.0, 1.0 - values * values) / plan.shots)
+        shots = plan.shots
+    if records is not None:
+        records.extend(EstimateRecord(float(v), float(e), shots, cid, basis)
+                       for v, e, cid in zip(values, errors, ids))
+    return values
 
 
 def gradient_shot(spec: AnsatzSpec, params, H: WeightedPauliSum, plan: ShotPlan,
                   records: list | None = None) -> np.ndarray:
     """Component p = 2 sum_t c_t m_pt over per-term X-basis tests, with
-    means m_pt = Re<d_p|h_t psi>."""
+    means m_pt = Re<d_p|h_t psi>; terms with c_t = 0 are not measured."""
     if not H.is_hermitian():
         raise ValueError("H must be hermitian")
-    terms = [(c.real, h) for c, h in H.terms()]
+    coeffs = np.array([c.real for c, _ in H.terms()])
+    kept = np.flatnonzero(coeffs)
     psi, D = derivative_sweep(spec, params)
-    means = _overlaps(D, *[pauli_apply_raw(psi, h) for _, h in terms])
-    grad = np.zeros(D.shape[0])
-    for p, row in enumerate(means):
-        for t, (c, _) in enumerate(terms):
-            if c == 0.0:
-                continue
-            rec = _sample_pm1(row[t], plan, f"grad:p{p}:t{t}", "X")
-            if records is not None:
-                records.append(rec)
-            grad[p] += 2.0 * c * rec.value
-    return grad
+    P = D.shape[0]
+    means = _overlaps(D, *[pauli_apply_raw(psi, h) for _, h in H.terms()])[:, kept]
+    ids = [f"grad:p{p}:t{t}" for p in range(P) for t in kept]
+    values = _sample_pm1(means.ravel(), plan, ids, "X", records)
+    return values.reshape(P, kept.size) @ (2.0 * coeffs[kept])
 
 
 def metric_shot(spec: AnsatzSpec, params, plan: ShotPlan,
@@ -104,21 +111,13 @@ def metric_shot(spec: AnsatzSpec, params, plan: ShotPlan,
     correction; upper triangle measured, mirrored by symmetry."""
     psi, D = derivative_sweep(spec, params)
     P = D.shape[0]
-    x = _gram(D)  # Re<d_p|d_q>
     y_mean = _overlaps(D, 1j * psi)[:, 0]  # Re<d_q|i psi> = Im<psi|d_q>
-
-    def keep(rec):
-        if records is not None:
-            records.append(rec)
-        return rec.value
-
-    y = np.array([keep(_sample_pm1(y_mean[q], plan, f"metric:y:q{q}", "Y"))
-                  for q in range(P)])
+    y = _sample_pm1(y_mean, plan, [f"metric:y:q{q}" for q in range(P)], "Y", records)
+    rows, cols = np.triu_indices(P)
+    x = _sample_pm1(_gram(D)[rows, cols], plan,  # Re<d_p|d_q>
+                    [f"metric:x:p{p}q{q}" for p, q in zip(rows, cols)], "X", records)
     g = np.empty((P, P))
-    for p in range(P):
-        for q in range(p, P):
-            val = keep(_sample_pm1(x[p, q], plan, f"metric:x:p{p}q{q}", "X"))
-            g[p, q] = g[q, p] = val - y[p] * y[q]
+    g[rows, cols] = g[cols, rows] = x - y[rows] * y[cols]
     return g
 
 
@@ -126,16 +125,14 @@ def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPla
                              circuit_id: str | None = None) -> EstimateRecord:
     """<obs> of a hermitian Pauli string, sampled like every ancilla test:
     a shot's product of +/-1 eigenvalues is +1 with probability
-    (1 + <obs>)/2, so one `_sample_pm1` draw on the exact mean has the
+    (1 + <obs>)/2, so one binomial draw on the exact mean has the
     statistics of a bitstring draw. The default id is pauli:{letter}{site}..."""
-    if not obs.is_hermitian():
-        raise ValueError("observable string must be hermitian")
-    if obs.max_site() >= state.n_qubits:
-        raise ValueError("observable site out of range")
     if circuit_id is None:
         name = "".join(f"{l}{s}" for s, l in sorted(obs.ops.items())) or "I"
         circuit_id = f"pauli:{name}"
-    return _sample_pm1(pauli_expectation(state, obs), plan, circuit_id, "X")
+    records = []
+    _sample_pm1([pauli_expectation(state, obs)], plan, [circuit_id], "X", records)
+    return records[0]
 
 
 def estimates_to_csv(records) -> str:

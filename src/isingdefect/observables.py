@@ -30,7 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .ansatz import AnsatzSpec, prepare_state
-from .measure import EstimateRecord, ShotPlan, _sample_pm1, sample_pauli_expectation
+from .measure import EstimateRecord, ShotPlan, _sample_pm1
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import RotationGate, StateVector, pauli_expectation, rotation_apply_raw
 
@@ -128,18 +128,23 @@ def ybar_exact(state: StateVector) -> float:
     return float(2.0 * _loop_overlap(state).real)
 
 
+def ybar_shots(state: StateVector, plan: ShotPlan, ids) -> list[EstimateRecord]:
+    """Loop-operator estimates of the ancilla test, one per circuit id: the
+    X-basis ancilla mean is read from one loop overlap and the ids are
+    sampled from it in one batch; values and error bars are twice the
+    mean's."""
+    records = []
+    _sample_pm1(np.full(len(ids), _loop_overlap(state).real), plan, ids, "X", records)
+    return [EstimateRecord(2.0 * r.value, 2.0 * r.std_error, r.shots_used, r.circuit_id, "X")
+            for r in records]
+
+
 def ybar_hadamard(spec: AnsatzSpec, params, plan: ShotPlan,
                   circuit_id: str | None = None) -> EstimateRecord:
-    """Loop-operator estimate from the ancilla test on the circuit state:
-    the X-basis ancilla mean is read from the loop overlap and sampled under
-    `circuit_id`; value and error bar are twice the mean's."""
+    """`ybar_shots` on the circuit state under one id (default ybar:L{L})."""
     if circuit_id is None:
         circuit_id = f"ybar:L{spec.L}"
-    mean = _loop_overlap(prepare_state(spec, params)).real
-    rec = _sample_pm1(mean, plan, circuit_id, "X")
-    return EstimateRecord(
-        2.0 * rec.value, 2.0 * rec.std_error, rec.shots_used, circuit_id, "X"
-    )
+    return ybar_shots(prepare_state(spec, params), plan, [circuit_id])[0]
 
 
 def correlator_zz(state: StateVector, r: int) -> float:
@@ -160,29 +165,23 @@ def correlator_profile(state: StateVector, rs=None):
 def correlator_profile_shot(state: StateVector, plan: ShotPlan, runs: int = 1,
                             rs=None, records: list | None = None):
     """Shot-sampled profile: per r, the mean of `runs` independent estimates
-    and the propagated standard error of that mean."""
+    and the propagated standard error of that mean. Every (r, run) circuit
+    is drawn in one batch from the exact correlators."""
     if runs < 1:
         raise ValueError("runs must be positive")
-    rs = range(1, state.n_qubits + 1) if rs is None else rs
-    rows = []
-    for r in rs:
-        if r == 1:
-            rows.append((1, 1.0, 0.0))
-            continue
-        obs = PauliString.from_ops({0: "Z", r - 1: "Z"})
-        vals, errs = [], []
-        for run in range(runs):
-            rec = sample_pauli_expectation(
-                state, obs, plan, circuit_id=f"corr:r{r}:run{run}"
-            )
-            vals.append(rec.value)
-            errs.append(rec.std_error)
-            if records is not None:
-                records.append(rec)
-        mean = float(np.mean(vals))
-        se = float(np.sqrt(np.sum(np.square(errs)))) / runs
-        rows.append((r, mean, se))
-    return rows
+    rs = list(range(1, state.n_qubits + 1) if rs is None else rs)
+    sampled = [r for r in rs if r != 1]
+    recs = []
+    _sample_pm1(np.repeat([correlator_zz(state, r) for r in sampled], runs), plan,
+                [f"corr:r{r}:run{run}" for r in sampled for run in range(runs)], "X", recs)
+    if records is not None:
+        records.extend(recs)
+    rows = {1: (1, 1.0, 0.0)}
+    for k, r in enumerate(sampled):
+        block = recs[k * runs:(k + 1) * runs]
+        rows[r] = (r, float(np.mean([b.value for b in block])),
+                   float(np.sqrt(np.sum(np.square([b.std_error for b in block])))) / runs)
+    return [rows[r] for r in rs]
 
 
 def correlator_csv(rows) -> str:

@@ -161,6 +161,8 @@ def pauli_expectation(state: StateVector, string: PauliString) -> float:
     """<psi| string |psi> for a single hermitian string."""
     if not string.is_hermitian():
         raise ValueError("string must be hermitian")
+    if string.max_site() >= state.n_qubits:
+        raise ValueError("string site out of range")
     val = np.vdot(state.amplitudes, pauli_apply_raw(state.amplitudes, string))
     assert abs(val.imag) < 1e-10
     return float(val.real)

@@ -1,11 +1,15 @@
 """Config parsing, validation diagnostics, run plumbing, and exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isingdefect import cli, observables
 from isingdefect.cli import (
     KINDS,
     ExperimentConfig,
@@ -16,7 +20,7 @@ from isingdefect.cli import (
     run,
     validate,
 )
-from isingdefect.model import ModelParams, exact_ground, ground_energy_gap
+from isingdefect.model import ModelParams, build_hamiltonian, exact_ground, ground_energy_gap
 from isingdefect.observables import correlator_profile
 from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
@@ -166,6 +170,41 @@ def test_run_ybar_analytic_hits_exact_value(tmp_path):
     lines = (tmp_path / "out" / "ybar.csv").read_text().splitlines()
     assert lines[0] == "L,estimate,std_error,exact"
     assert len(lines) == 2
+
+
+def test_run_ybar_reads_each_loop_overlap_once(tmp_path, monkeypatch):
+    # the estimate's runs are drawn from one overlap, the exact value reads
+    # a second: 2 per instance, not 1 + runs
+    calls = []
+    overlap = observables._loop_overlap
+    monkeypatch.setattr(observables, "_loop_overlap",
+                        lambda state: calls.append(1) or overlap(state))
+    cfg = ExperimentConfig(kind="ybar", L=(4,), b=1, v=(0.0, 1.0), runs=5,
+                           shots=64, max_iters=3)
+    run(cfg, tmp_path / "out")
+    assert len(calls) <= 2 * 2
+
+
+def test_run_energy_remeasurement_reads_each_term_once(tmp_path, monkeypatch):
+    calls = []
+    readout = cli.pauli_expectation
+    monkeypatch.setattr(cli, "pauli_expectation",
+                        lambda state, term: calls.append(term) or readout(state, term))
+    cfg = ExperimentConfig(kind="optimize", L=(4,), b=1, runs=5, shots=64, max_iters=3)
+    record = run(cfg, tmp_path / "out")
+    assert len(calls) == len(build_hamiltonian(ModelParams(L=4, b=1)))
+    assert math.isfinite(record.results["instances"][0]["measured_energy"])
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about a second to every process that imports the
+    # package
+    code = "import sys, isingdefect; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_run_energy_scan_writes_rows(tmp_path):
@@ -424,6 +463,7 @@ STALE_TRACER_BINDINGS = {
     "isingdefect.observables.apply_controlled",
     "isingdefect.measure.rotation_apply_raw",
     "isingdefect.zne.sum_apply_raw",
+    "isingdefect.observables.sample_pauli_expectation",
 }
 
 

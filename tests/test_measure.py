@@ -1,4 +1,5 @@
 """Hadamard-test estimation and finite-shot sampling."""
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from isingdefect.measure import (
     sample_pauli_expectation,
 )
 from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
-from isingdefect.paulis import PauliString
+from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.qng import gradient_exact, metric_exact
 from isingdefect.statevector import StateVector
 
@@ -29,18 +30,25 @@ def _plus(n):
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
 
 
+def _record(mean, plan, circuit_id, basis="X"):
+    """The sampler's record of one circuit: a batch of one."""
+    records = []
+    _sample_pm1([mean], plan, [circuit_id], basis, records)
+    return records[0]
+
+
 def test_controlled_identity_gives_one():
     mean = oracles.ancilla_mean(oracles.controlled(np.eye(4)) @ _plus(3), "X")
-    rec = _sample_pm1(mean, ANALYTIC, "id", "X")
+    rec = _record(mean, ANALYTIC, "id")
     assert rec.value == pytest.approx(1.0, abs=1e-14)
-    sampled = _sample_pm1(mean, ShotPlan(shots=64), "id", "X")
+    sampled = _record(mean, ShotPlan(shots=64), "id")
     assert sampled.value == 1.0 and sampled.std_error == 0.0
 
 
 def test_controlled_z_on_plus_gives_zero():
     state = oracles.controlled(oracles.SZ) @ _plus(2)
     mean = oracles.ancilla_mean(state, "X")
-    assert _sample_pm1(mean, ANALYTIC, "cz", "X").value == pytest.approx(0.0, abs=1e-14)
+    assert _record(mean, ANALYTIC, "cz").value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_analytic_mode_matches_branch_inner_product():
@@ -49,7 +57,7 @@ def test_analytic_mode_matches_branch_inner_product():
     phi1 = prepare_state(spec, init_params(spec, seed=3) * 100)
     # |0>_anc |phi0> + |1>_anc |phi1>, ancilla on the top wire
     state = np.concatenate([phi0.amplitudes, phi1.amplitudes]) / np.sqrt(2)
-    x = _sample_pm1(oracles.ancilla_mean(state, "X"), ANALYTIC, "branches", "X").value
+    x = _record(oracles.ancilla_mean(state, "X"), ANALYTIC, "branches").value
     assert x == pytest.approx(np.vdot(phi0.amplitudes, phi1.amplitudes).real, abs=1e-12)
 
 
@@ -91,6 +99,9 @@ def test_zero_coefficient_term_contributes_nothing():
     assert np.array_equal(
         gradient_shot(spec, params, H, plan), gradient_shot(spec, params, H2, plan)
     )
+    records = []
+    zero = WeightedPauliSum(2).add(0.0, PauliString.from_ops({0: "Z"}))
+    assert not gradient_shot(spec, params, zero, plan, records).any() and not records
 
 
 def test_metric_shot_analytic_equals_exact():
@@ -175,7 +186,7 @@ def test_sample_pauli_is_one_draw_on_the_oracle_mean(L):
             m = oracles.pauli_mean(psi, ops)
             cid = "pauli:" + "".join(f"{l}{s}" for s, l in sorted(ops.items()))
             obs = PauliString.from_ops(ops)
-            assert sample_pauli_expectation(state, obs, plan) == _sample_pm1(m, plan, cid, "X")
+            assert sample_pauli_expectation(state, obs, plan) == _record(m, plan, cid)
             exact = sample_pauli_expectation(state, obs, ANALYTIC)
             assert exact.circuit_id == cid and exact.std_error == 0.0
             assert abs(exact.value - m) < 1e-12
@@ -188,13 +199,13 @@ def test_shot_error_scales_as_inverse_sqrt():
     state = oracles.controlled(oracles.dense_rotation(oracles.SZ, 0.7)) @ _plus(2)
     mean = oracles.ancilla_mean(state, "X")
     exact = math.cos(0.7)
-    assert _sample_pm1(mean, ANALYTIC, "slope", "X").value == pytest.approx(exact, abs=1e-14)
+    assert _record(mean, ANALYTIC, "slope").value == pytest.approx(exact, abs=1e-14)
     shots_grid = [100, 1000, 10000, 100000]
     mean_abs_err = []
     for shots in shots_grid:
         errs = []
         for rep in range(48):
-            rec = _sample_pm1(mean, ShotPlan(shots=shots, seed=6), f"slope:s{shots}:r{rep}", "X")
+            rec = _record(mean, ShotPlan(shots=shots, seed=6), f"slope:s{shots}:r{rep}")
             errs.append(abs(rec.value - exact))
         mean_abs_err.append(np.mean(errs))
     slope = np.polyfit(np.log(shots_grid), np.log(mean_abs_err), 1)[0]
@@ -209,6 +220,31 @@ def test_circuit_rng_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_sampler_batch_contract():
+    ids = [f"c{k}" for k in range(6)]
+    means = np.array([-1.0, -0.4, 0.0, 0.3, 0.9, 1.0])
+    plan = ShotPlan(shots=256, seed=8)
+    first, again, other = [], [], []
+    values = _sample_pm1(means, plan, ids, "Y", first)
+    _sample_pm1(means, plan, ids, "Y", again)
+    _sample_pm1(means, ShotPlan(shots=256, seed=9), ids, "Y", other)
+    # one record per id, in id order; the same (seed, ids, means) repeats
+    assert first == again
+    assert [r.circuit_id for r in first] == ids
+    assert all(r.basis == "Y" and r.shots_used == 256 for r in first)
+    assert np.array_equal(values, [r.value for r in first])
+    assert [r.value for r in first[1:5]] != [r.value for r in other[1:5]]
+    # outcomes of mean +/-1 are certain
+    for rec, sign in ((first[0], -1.0), (first[-1], 1.0)):
+        assert rec.value == sign and rec.std_error == 0.0
+    for rec in first[1:5]:
+        assert rec.std_error == pytest.approx(math.sqrt((1 - rec.value**2) / 256))
+    exact = []
+    assert np.array_equal(_sample_pm1(means, ANALYTIC, ids, "X", exact), means)
+    assert [(r.value, r.std_error, r.shots_used) for r in exact] == [
+        (m, 0.0, 0) for m in means]
 
 
 def test_estimate_values_bounded_and_csv_round_trip():
@@ -264,15 +300,20 @@ def test_estimators_match_ancilla_circuit_oracle(L, boundary):
 
 @pytest.mark.parametrize("L, boundary", [(3, "open"), (4, "periodic")])
 def test_sampled_records_match_oracle_draws(L, boundary):
-    # numpy's binomial draws n - x when p crosses 1/2, so a mean that is 0
-    # by symmetry may sample with either sign
+    # the estimators draw in three batches: every gradient circuit, then the
+    # metric's Y circuits, then its X circuits. numpy's binomial draws n - x
+    # when p crosses 1/2, so a mean that is 0 by symmetry may sample with
+    # either sign
     spec, params, H, want = _oracle_case(L, 2, boundary, 0.7, 5)
     plan = ShotPlan(shots=1024, seed=3)
     _, _, records = _estimates(spec, params, H, plan)
-    assert len(records) == len(want)
-    for rec, (cid, basis, mean) in zip(records, want):
-        oracle = _sample_pm1(mean, plan, cid, basis)
+    oracle = []
+    for _, batch in itertools.groupby(want, key=lambda w: (w[0].split(":")[0], w[1])):
+        ids, bases, means = zip(*batch)
+        _sample_pm1(means, plan, ids, bases[0], oracle)
+    assert len(records) == len(want) == len(oracle)
+    for rec, want_rec, (_, _, mean) in zip(records, oracle, want):
         if abs(mean) > 1e-12:
-            assert rec == oracle
+            assert rec == want_rec
         else:
-            assert (rec.circuit_id, abs(rec.value)) == (cid, abs(oracle.value))
+            assert (rec.circuit_id, abs(rec.value)) == (want_rec.circuit_id, abs(want_rec.value))

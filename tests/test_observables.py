@@ -18,6 +18,7 @@ from isingdefect.observables import (
     spin_flip_string,
     ybar_exact,
     ybar_hadamard,
+    ybar_shots,
 )
 from isingdefect.paulis import WeightedPauliSum, commutator_norm, dense_matrix
 from isingdefect.qng import OptimizeOptions, optimize
@@ -154,9 +155,13 @@ def test_loop_estimate_matches_ancilla_circuit_oracle(L, boundary):
     for seed in range(3):
         plan = ShotPlan(shots=1024, seed=seed)
         cid = f"ybar:oracle:L{L}:{boundary}:s{seed}"
-        want = _sample_pm1(mean, plan, cid, "X")
-        assert ybar_hadamard(spec, params, plan, circuit_id=cid) == EstimateRecord(
-            2.0 * want.value, 2.0 * want.std_error, want.shots_used, cid, "X")
+        ids = [f"{cid}:run{run}" for run in range(4)]
+        want = []
+        _sample_pm1([mean], plan, [cid], "X", want)
+        _sample_pm1([mean] * len(ids), plan, ids, "X", want)
+        got = [ybar_hadamard(spec, params, plan, circuit_id=cid)] + ybar_shots(psi, plan, ids)
+        assert got == [EstimateRecord(2.0 * w.value, 2.0 * w.std_error, w.shots_used,
+                                      w.circuit_id, "X") for w in want]
 
 
 def test_ancilla_stays_pure_on_loop_eigenstate():
@@ -232,6 +237,27 @@ def test_profile_shot_agrees_within_binomial_error():
         assert abs(value - exact) <= 3 * max(se, 1e-12) + 1e-12
     exact_rows = correlator_profile(gs)
     assert [row[0] for row in rows] == [row[0] for row in exact_rows]
+
+
+def test_profile_shot_records_are_one_batch_on_the_oracle_means():
+    L, runs = 5, 3
+    rng = np.random.default_rng(12)
+    psi = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+    psi /= np.linalg.norm(psi)
+    plan = ShotPlan(shots=1024, seed=4)
+    records = []
+    rows = correlator_profile_shot(StateVector(L, psi), plan, runs=runs, records=records)
+    # every (r, run) circuit is drawn in one batch on the kron-chain means
+    means = [oracles.pauli_mean(psi, {0: "Z", r - 1: "Z"}) for r in range(2, L + 1)]
+    ids = [f"corr:r{r}:run{run}" for r in range(2, L + 1) for run in range(runs)]
+    want = []
+    _sample_pm1(np.repeat(means, runs), plan, ids, "X", want)
+    assert records == want
+    assert rows[0] == (1, 1.0, 0.0)
+    for (r, value, se), k in zip(rows[1:], range(0, len(want), runs)):
+        block = want[k:k + runs]
+        assert value == pytest.approx(np.mean([w.value for w in block]), abs=1e-15)
+        assert se == pytest.approx(math.hypot(*[w.std_error for w in block]) / runs)
 
 
 def test_output_formats():

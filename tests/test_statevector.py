@@ -8,6 +8,7 @@ from isingdefect.statevector import (
     StateVector,
     expectation,
     pauli_apply_raw,
+    pauli_expectation,
     plus_state,
     rotation_apply_raw,
     sum_apply_raw,
@@ -130,6 +131,16 @@ def test_expectation_requires_hermitian():
     bad = WeightedPauliSum(1).add(1j, PauliString.from_ops({0: "X"}))
     with pytest.raises(ValueError):
         expectation(plus_state(1), bad)
+
+
+def test_pauli_expectation_rejects_sites_past_the_register():
+    # a site past the register is an input error, not the identity (Z) or an
+    # out-of-bounds index (X)
+    plus = plus_state(2)
+    assert pauli_expectation(plus, PauliString.from_ops({1: "X"})) == pytest.approx(1.0)
+    for letter in "XYZ":
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_expectation(plus, PauliString.from_ops({5: letter}))
 
 
 def test_ground_state_energy_expectation_small_chain():
