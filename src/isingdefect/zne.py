@@ -12,11 +12,23 @@ Error records come first. A chunk of trajectories draws every record
 before any state evolves, in circuit order: per noisy gate, one uniform per
 row against p, then one error index per hit row. One clean statevector then
 runs through the circuit. A trajectory enters the batch as a copy of the
-clean state at its first error, so the batch holds only trajectories that
-have erred, and those that never err share the clean state's value. Gates
-go in maximal commuting runs (`ansatz.gate_runs`) that end at each noisy
-gate: a diagonal run is one phase vector, single-site X rotations are one
-Kronecker-factor pass, and any other generator goes gate by gate.
+clean state at the start of the step holding its first error, so the batch
+holds only trajectories that have erred, and those that never err share
+the clean state's value.
+
+The circuit runs in steps. Gates go in maximal commuting runs
+(`ansatz.gate_runs`) that end at each noisy gate, and a maximal stretch of
+consecutive diagonal runs is one segment. A Pauli error E commutes with a
+later diagonal rotation exp(-i t s) when E's X part meets an even number of
+the gate's Z sites, and flips the angle's sign otherwise. So a segment is
+one phase-vector multiply over every live row, the product of its gates.
+Each row that erred inside it then takes its Pauli frame: the correction
+exp(2i t s) of every later gate its frame flipped, then the product of its
+errors, X^x Z^z up to a global phase, as one sign multiply and one gather
+(Pauli-frame sampling: Knill 2005; Gidney, arXiv:2103.02202). A run of
+single-site X rotations is one Kronecker-factor pass, any other generator
+goes gate by gate, and the error that ends such a run takes the same frame
+step.
 
 Amplification folds trailing two-qubit gates G -> G G^dag G, which leaves
 the noiseless circuit exact while multiplying its noise exposure. With n2
@@ -28,20 +40,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, apply_run, gate_runs, gates as ansatz_gates
+from .ansatz import AnsatzSpec, _z_block, apply_run, gate_runs, gates as ansatz_gates
 from .measure import EstimateRecord
 from .paulis import PauliString, WeightedPauliSum
-from .statevector import (
-    RotationGate,
-    pauli_apply_raw,
-    plus_state,
-    sum_expectation_raw,
-)
+from .statevector import RotationGate, plus_state, sum_expectation_raw
 
 _LETTERS = ("I", "X", "Y", "Z")
+FRAME_BYTES = 1 << 19  # erring rows per frame pass: 512 KB of state
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,8 @@ def _runs_and_angles(circuit: Circuit, noisy=None):
 
 
 def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
+    if obs.n_qubits != circuit.n_qubits:
+        raise ValueError("register size mismatch")
     runs, angles = _runs_and_angles(circuit)
     amps = plus_state(circuit.n_qubits).amplitudes
     for run in runs:
@@ -136,55 +147,85 @@ def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
 
 
 @lru_cache(maxsize=None)
-def _error_strings(generator: PauliString) -> tuple:
-    """The 15 (3 for one site) non-identity Paulis on the generator support."""
+def _error_masks(generator: PauliString) -> tuple:
+    """X and Z masks of the 15 (3 for one site) non-identity Paulis on the
+    generator's support, in letter order (I, X, Y, Z) per site, first site
+    slowest. Their phases are global per trajectory and are dropped."""
     sites = sorted(generator.ops)
-    strings = []
-    if len(sites) == 1:
-        for letter in _LETTERS[1:]:
-            strings.append(PauliString.from_ops({sites[0]: letter}))
-        return tuple(strings)
-    a, b = sites
-    for la in _LETTERS:
-        for lb in _LETTERS:
-            if la == lb == "I":
-                continue
-            ops = {}
-            if la != "I":
-                ops[a] = la
-            if lb != "I":
-                ops[b] = lb
-            strings.append(PauliString.from_ops(ops))
-    return tuple(strings)
+    letters = [ops for ops in product(_LETTERS, repeat=len(sites)) if set(ops) != {"I"}]
+    strings = [PauliString.from_ops({s: l for s, l in zip(sites, ops) if l != "I"})
+               for ops in letters]
+    return (np.array([s.x for s in strings], dtype=np.int64),
+            np.array([s.z for s in strings], dtype=np.int64))
 
 
 def _error_records(rng, rows: int, noisy) -> dict:
     """Every row's error record, drawn in circuit order. For each noisy gate
-    (key, p, errors) that hits a row: key -> (hit rows, error picks, the hit
-    rows whose first error this is, errors)."""
+    (key, p, masks) that hits a row: key -> (hit rows, the hit rows whose
+    first error this is, their errors' X masks, their Z masks)."""
     unhit = np.ones(rows, dtype=bool)
     records = {}
-    for key, p, errors in noisy:
+    for key, p, (xs, zs) in noisy:
         hit = rng.random(rows) < p
         n_hit = int(hit.sum())
         if n_hit == 0:
             continue
-        picks = rng.integers(0, len(errors), n_hit)
+        picks = rng.integers(0, len(xs), n_hit)
         hit_rows = np.flatnonzero(hit)
         first = hit_rows[unhit[hit_rows]]
         unhit[first] = False
-        records[key] = (hit_rows, picks, first, errors)
+        records[key] = (hit_rows, first, xs[picks], zs[picks])
     return records
 
 
-def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
-                      trajectories: int, seed: int = 0, stream: int = 0,
-                      chunk: int = 2048, circuit_id: str = "zne") -> EstimateRecord:
-    """Trajectory Monte Carlo mean of <obs> under per-gate Pauli noise."""
+def _steps(runs) -> list:
+    """The runs in steps: a maximal stretch of consecutive diagonal runs is
+    one segment, and any other run is a step of its own."""
+    steps = []
+    for i, run in enumerate(runs):
+        if run[0] == "z" and steps and runs[steps[-1][-1]][0] == "z":
+            steps[-1].append(i)
+        else:
+            steps.append([i])
+    return steps
+
+
+def _apply_frame(B, at, x, z, flips=None, factors=None) -> None:
+    """In place on the rows B[at]: for each gate j that a row's frame flipped
+    (flips[row, j] set), the correction factors[j]; then the row's Pauli
+    X^x Z^z, up to a global phase, as one sign multiply and one gather. Rows
+    go through in groups of at most FRAME_BYTES, which bounds the
+    temporaries."""
+    dim = B.shape[1]
+    step = max(1, FRAME_BYTES // B[0].nbytes)
+    flat = np.arange(step * dim).reshape(step, dim)  # row r, index i: r dim + i
+    index = np.arange(dim, dtype=np.uint32)
+    z = z.astype(np.uint32)[:, None]
+    for r in range(0, at.size, step):
+        g = slice(r, r + step)
+        sel = at[g]
+        rows = B[sel]
+        if flips is not None:
+            for i, j in zip(*np.nonzero(flips[g])):
+                rows[i] *= factors[j]
+        # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
+        # it to i ^ x, which within row r is flat index (r dim + i) ^ x
+        rows *= 1.0 - 2.0 * (np.bitwise_count(index & z[g]) & 1)
+        B[sel] = rows.take(flat[: sel.size] ^ x[g, None])
+
+
+def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
+                       trajectories: int, seed: int, stream: int,
+                       chunk: int) -> np.ndarray:
+    """Every trajectory's <obs>, in row order across chunks."""
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     if not obs.is_hermitian():
         raise ValueError("observable must be hermitian")
+    if obs.n_qubits != circuit.n_qubits:
+        raise ValueError("register size mismatch")
     L = circuit.n_qubits
     weights = [_weight(g) for g in circuit.gates]
     other = [w for w in weights if w not in (1, 2)]
@@ -193,9 +234,10 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
                          f"{other[0]}-site gate; run it with p1 = 0")
     probs = [noise.p2 if w == 2 else noise.p1 for w in weights]
     runs, angles = _runs_and_angles(circuit, [p > 0 for p in probs])
-    # a noisy gate ends its run: (run index, p, error strings) per noisy gate
-    noisy = [(i, probs[stop - 1], _error_strings(circuit.gates[stop - 1].generator))
+    # a noisy gate ends its run: (run index, p, error masks) per noisy gate
+    noisy = [(i, probs[stop - 1], _error_masks(circuit.gates[stop - 1].generator))
              for i, (_, _, stop, _) in enumerate(runs) if probs[stop - 1] > 0]
+    steps = _steps(runs)
     base = plus_state(L).amplitudes
 
     total = 0
@@ -207,34 +249,61 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
         records = _error_records(rng, rows, noisy)
         # B[0] is the clean trajectory; row r enters B[pos[r]] as a copy of
         # it at its first error, rows entering in order of first error
-        joins = [first for _, _, first, _ in records.values()]
+        joins = [first for _, first, _, _ in records.values()]
         order = np.concatenate(joins) if joins else np.empty(0, dtype=np.intp)
         pos = np.empty(rows, dtype=np.intp)
         pos[order] = np.arange(1, order.size + 1)
         B = np.empty((order.size + 1, base.size), dtype=np.complex128)
         B[0] = base
         live = 1
-        for i, run in enumerate(runs):
-            apply_run(B[:live], run, angles[run[1] : run[2]], L)
-            if i not in records:
+        for step in steps:
+            start, stop = runs[step[0]][1], runs[step[-1]][2]
+            hits = [(runs[i][2] - start, *records[i]) for i in step if i in records]
+            # rows that first err in this step join as the clean row at its start
+            for _, _, first, _, _ in hits:
+                B[live : live + first.size] = B[0]
+                live += first.size
+            if runs[step[0]][0] != "z":
+                apply_run(B[:live], runs[step[0]], angles[start:stop], L)
+                for _, hit_rows, _, x, z in hits:
+                    _apply_frame(B, pos[hit_rows], x, z)
                 continue
-            hit_rows, picks, first, errors = records[i]
-            B[live : live + first.size] = B[0]
-            live += first.size
-            hit_pos = pos[hit_rows]
-            for e in np.unique(picks):
-                sel = hit_pos[picks == e]
-                B[sel] = pauli_apply_raw(B[sel], errors[e])
+            keys = sum((runs[i][3] for i in step), ())
+            signs = _z_block(B[:live], keys, angles[start:stop], 1 << L)
+            if not hits:
+                continue
+            # each erring row's frame: the product of its errors in the step,
+            # and the angles of the later gates whose sign that frame flipped
+            erred = np.unique(np.concatenate([h[1] for h in hits]))
+            x = np.zeros(erred.size, dtype=np.int64)
+            z = np.zeros(erred.size, dtype=np.int64)
+            flips = np.zeros((erred.size, len(keys)), dtype=np.uint8)
+            zmasks = np.array(keys, dtype=np.int64)
+            for end, hit_rows, _, ex, ez in hits:
+                k = np.searchsorted(erred, hit_rows)
+                x[k] ^= ex
+                z[k] ^= ez
+                flips[k, end:] ^= np.bitwise_count(ex[:, None] & zmasks[end:]) & 1
+            # a flipped gate exp(+i t s) is exp(-i t s) times exp(2i t s)
+            turn = np.exp(2j * angles[start:stop])[:, None]
+            factors = np.where(signs > 0, turn, turn.conj())
+            _apply_frame(B, pos[erred], x, z, flips, factors)
         values = sum_expectation_raw(B, obs)
         piece = np.full(rows, values[0])  # rows that never err
         piece[order] = values[1:]
         pieces.append(piece)
         total += rows
         chunk_index += 1
-    values = np.concatenate(pieces)
-    mean = float(values.mean())
-    std_error = float(values.std() / np.sqrt(total))
-    return EstimateRecord(mean, std_error, total, circuit_id, "X")
+    return np.concatenate(pieces)
+
+
+def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
+                      trajectories: int, seed: int = 0, stream: int = 0,
+                      chunk: int = 2048, circuit_id: str = "zne") -> EstimateRecord:
+    """Trajectory Monte Carlo mean of <obs> under per-gate Pauli noise."""
+    values = _trajectory_values(circuit, obs, noise, trajectories, seed, stream, chunk)
+    std_error = float(values.std() / np.sqrt(trajectories))
+    return EstimateRecord(float(values.mean()), std_error, trajectories, circuit_id, "X")
 
 
 def extrapolate(schedule: ZneSchedule, values) -> float:
@@ -248,11 +317,20 @@ def extrapolate(schedule: ZneSchedule, values) -> float:
     return float(np.polyval(coeffs, 0.0))
 
 
+def _extrapolation_weights(schedule: ZneSchedule, factors) -> np.ndarray:
+    """w with extrapolate(schedule, zip(factors, y)) == w @ y for every y:
+    the fit is linear in the estimates, so w_i is the fit of unit vector i."""
+    return np.array([extrapolate(schedule, zip(factors, unit))
+                     for unit in np.eye(len(factors))])
+
+
 def zne_pipeline(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
                  schedule: ZneSchedule, trajectories: int, seed: int = 0) -> dict:
     """Fold, sample, and extrapolate; returns the full report."""
+    n2 = circuit.two_qubit_count
+    if n2 == 0:
+        raise ValueError("no two-qubit gates to fold")
     noiseless = noiseless_expectation(circuit, obs)
-    n2 = max(circuit.two_qubit_count, 1)
     estimates = []
     achieved = []
     errors = []
@@ -266,11 +344,13 @@ def zne_pipeline(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
         estimates.append(rec.value)
         errors.append(rec.std_error)
     extrapolated = extrapolate(schedule, zip(achieved, estimates))
+    weights = _extrapolation_weights(schedule, achieved)
     return {
         "factors": list(schedule.factors),
         "achieved_factors": achieved,
         "estimates": estimates,
         "std_errors": errors,
         "extrapolated": extrapolated,
+        "extrapolated_std_error": float(np.sqrt(np.sum((weights * errors) ** 2))),
         "noiseless_reference": noiseless,
     }

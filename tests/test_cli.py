@@ -463,6 +463,7 @@ STALE_TRACER_BINDINGS = {
     "isingdefect.observables.apply_controlled",
     "isingdefect.measure.rotation_apply_raw",
     "isingdefect.zne.sum_apply_raw",
+    "isingdefect.zne.pauli_apply_raw",
     "isingdefect.observables.sample_pauli_expectation",
 }
 

@@ -231,9 +231,11 @@ def _random_circuit(L, seed):
 
 
 def _assert_matches_trajectory_oracle(circ, obs, noise, trajectories, chunk, seed):
+    rows = zne._trajectory_values(circ, obs, noise, trajectories, seed, 2, chunk)
     rec = noisy_expectation(circ, obs, noise, trajectories, seed=seed, stream=2, chunk=chunk)
     values = oracles.trajectory_values(circ, obs, noise.p2, noise.p1, trajectories,
                                        seed=seed, stream=2, chunk=chunk)
+    assert np.abs(rows - values).max() < 1e-12
     assert abs(rec.value - values.mean()) < 1e-12
     assert abs(rec.std_error - values.std() / np.sqrt(trajectories)) < 1e-12
 
@@ -274,6 +276,71 @@ def test_generic_generators_match_trajectory_oracle():
     assert noiseless_expectation(circ, H) == pytest.approx(clean, abs=1e-12)
 
 
+@pytest.mark.parametrize("L, boundary, v", [(6, "open", 4.0), (5, "periodic", 0.7)])
+def test_frames_of_several_errors_match_trajectory_oracle(L, boundary, v):
+    # angles 100x the default init keep every phase far from 1; at p2 = 0.9
+    # a row errs several times inside one diagonal segment, and on the ring
+    # the wrap bond's errors meet the other bonds' gates
+    spec = AnsatzSpec(L=L, N=2, boundary=boundary)
+    circ = fold_gates(ansatz_circuit(spec, 100 * init_params(spec, seed=L)), 3.0)
+    H = build_hamiltonian(ModelParams(L=L, b=L % 2, v=v))
+    for p2 in (0.02, 0.9):
+        for p1 in (0.0, 0.05):
+            _assert_matches_trajectory_oracle(circ, H, NoiseModel(p2=p2, p1=p1), 30, 7,
+                                              seed=L)
+
+
+def _no_draws(*args):
+    raise AssertionError("error records drawn before the checks")
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_is_rejected_before_any_draw(monkeypatch, chunk):
+    _, circ = _small_circuit()
+    H = build_hamiltonian(ModelParams(L=4))
+    monkeypatch.setattr(zne, "_error_records", _no_draws)
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
+        noisy_expectation(circ, H, NoiseModel(p2=0.02), 10, chunk=chunk)
+
+
+def test_register_mismatch_is_rejected(monkeypatch):
+    _, circ = _small_circuit()
+    H = build_hamiltonian(ModelParams(L=5))
+    with pytest.raises(ValueError, match="register size mismatch"):
+        noiseless_expectation(circ, H)
+    monkeypatch.setattr(zne, "_error_records", _no_draws)
+    with pytest.raises(ValueError, match="register size mismatch"):
+        noisy_expectation(circ, H, NoiseModel(p2=0.02), 10)
+
+
+def test_pipeline_needs_a_two_qubit_gate():
+    gates = (RotationGate(PauliString.from_ops({0: "X"}), 0.3),
+             RotationGate(PauliString.from_ops({1: "Z"}), 0.5))
+    H = build_hamiltonian(ModelParams(L=2))
+    with pytest.raises(ValueError, match="no two-qubit gates to fold"):
+        zne_pipeline(Circuit(2, gates), H, NoiseModel(p2=0.02),
+                     ZneSchedule(factors=(1.0, 2.0), degree=1), trajectories=10)
+
+
+def test_extrapolation_weights_of_a_two_point_line():
+    # the line through (1, a) and (2, b) reads 2a - b at factor 0
+    weights = zne._extrapolation_weights(ZneSchedule(factors=(1.0, 2.0), degree=1),
+                                         [1.0, 2.0])
+    assert np.abs(weights - [2.0, -1.0]).max() < 1e-12
+
+
+def test_pipeline_reports_the_extrapolated_std_error():
+    _, circ = _small_circuit()
+    H = build_hamiltonian(ModelParams(L=4))
+    sched = ZneSchedule(factors=(1.0, 1.5, 2.0, 3.0), degree=2)
+    report = zne_pipeline(circ, H, NoiseModel(p2=0.05), sched, trajectories=400, seed=8)
+    weights = zne._extrapolation_weights(sched, report["achieved_factors"])
+    assert abs(weights @ report["estimates"] - report["extrapolated"]) < 1e-12
+    se = np.sqrt(np.sum((weights * report["std_errors"]) ** 2))
+    assert report["extrapolated_std_error"] == pytest.approx(se, rel=1e-12)
+    assert report["extrapolated_std_error"] > 0
+
+
 @pytest.mark.parametrize("factor", [1.0, 2.0, 3.0])
 def test_trajectory_mean_matches_exact_channel(factor):
     # 2e4 trajectories at full depth against the density-matrix channel
@@ -296,10 +363,6 @@ def test_wide_gate_runs_only_without_p1_noise(monkeypatch):
     circ = Circuit(3, gates)
     H = build_hamiltonian(ModelParams(L=3, b=0, v=0.7))
     _assert_matches_trajectory_oracle(circ, H, NoiseModel(p2=0.2), 40, 7, seed=2)
-
-    def no_draws(*args):
-        raise AssertionError("error records drawn before the gate check")
-
-    monkeypatch.setattr(zne, "_error_records", no_draws)
+    monkeypatch.setattr(zne, "_error_records", _no_draws)
     with pytest.raises(ValueError, match="3-site gate"):
         noisy_expectation(circ, H, NoiseModel(p2=0.2, p1=0.1), 40)
