@@ -83,14 +83,12 @@ def gates(spec: AnsatzSpec, params) -> list[RotationGate]:
     return [RotationGate(g, float(t)) for g, t in zip(gens, params)]
 
 
-def gate_runs(generators, noisy=None) -> tuple:
+def gate_runs(generators) -> tuple:
     """Maximal runs of commuting gates as (kind, start, stop, keys): kind "z"
-    for diagonal gates (keys: Z masks), "x" for single-site X gates on
-    distinct sites (keys: sites), "g" for any other generator, one gate per
-    run (keys: the generator). A run ends after every gate p with noisy[p]
-    set, so only a run's last gate can be noisy."""
+    for consecutive diagonal gates (keys: Z masks), "x" for single-site X
+    gates on distinct sites (keys: sites; a repeated site starts a new run),
+    "g" for any other generator, one gate per run (keys: the generator)."""
     runs = []
-    closed = True
     for p, g in enumerate(generators):
         if g.e == 0 and g.x == 0:
             kind, key = "z", g.z
@@ -99,13 +97,11 @@ def gate_runs(generators, noisy=None) -> tuple:
         else:
             kind, key = "g", g
         last = runs[-1] if runs else None
-        if (not closed and last[0] == kind != "g"
-                and (kind == "z" or key not in last[3])):
+        if last and last[0] == kind != "g" and (kind == "z" or key not in last[3]):
             last[2] = p + 1
             last[3].append(key)
         else:
             runs.append([kind, p, p + 1, [key]])
-        closed = noisy is not None and bool(noisy[p])
     return tuple((kind, start, stop, tuple(keys)) for kind, start, stop, keys in runs)
 
 

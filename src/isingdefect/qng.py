@@ -44,6 +44,10 @@ from .statevector import (
 )
 
 
+LAM = 1e-4  # initial metric regularization
+GRAD_TOL = 1e-6  # gradient norm that counts as converged
+
+
 def minus_i_times(g: PauliString) -> PauliString:
     """-i * g, still a single unit-modulus string."""
     return PauliString(g.x, g.z, (g.e + 3) % 4)
@@ -113,7 +117,7 @@ class OptimizerState:
     stop_reason: str = ""
 
 
-def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=1e-4) -> OptimizerState:
+def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> OptimizerState:
     """One natural-gradient update; energy_fn enables the halving safeguard."""
     grad = np.asarray(grad, dtype=np.float64)
     metric = np.asarray(metric, dtype=np.float64)
@@ -159,10 +163,8 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=1e-4) -> O
 class OptimizeOptions:
     eta: float = 0.05
     max_iters: int = 500
-    lam: float = 1e-4
     seed: int = 0
     rel_tol: float = 1e-3
-    grad_tol: float = 1e-6
     plain_gradient: bool = False  # identity metric, for head-to-head baselines
 
 
@@ -217,11 +219,11 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         if rel < opts.rel_tol:
             state.converged, state.stop_reason = True, "rel_tol"
             break
-        if state.grad_norm < opts.grad_tol:
+        if state.grad_norm < GRAD_TOL:
             state.converged, state.stop_reason = True, "grad_tol"
             break
         metric = identity if identity is not None else _metric(D, w)
-        state = qng_step(state, grad, metric, energy_fn=energy_fn, lam=opts.lam)
+        state = qng_step(state, grad, metric, energy_fn=energy_fn)
         if state.stop_reason:
             break
     if state.converged:

@@ -91,25 +91,6 @@ def rotation_apply_raw(batch: np.ndarray, gate: RotationGate) -> None:
     g = gate.generator
     if not g.is_hermitian():
         raise ValueError("rotation generator must be hermitian")
-    dim = batch.shape[-1]
-    if g.x == 0:
-        # diagonal generator: pure phase multiplication
-        sign0 = 1.0 if g.e == 0 else -1.0
-        batch *= np.exp((-1j * gate.angle * sign0) * _zsigns(g.z, dim))
-        return
-    if g.z == 0 and g.x.bit_count() == 1 and g.e == 0:
-        # single-site X rotation: mix amplitude pairs through a reshaped view
-        site = g.x.bit_length() - 1
-        view = _pair_view(batch, site, dim)
-        b0 = view[..., 0, :]
-        b1 = view[..., 1, :]
-        c, ms = np.cos(gate.angle), -1j * np.sin(gate.angle)
-        tmp = b0.copy()
-        b0 *= c
-        b0 += ms * b1
-        b1 *= c
-        b1 += ms * tmp
-        return
     rotated = pauli_apply_raw(batch, g)
     batch *= np.cos(gate.angle)
     batch += (-1j * np.sin(gate.angle)) * rotated

@@ -12,23 +12,22 @@ Error records come first. A chunk of trajectories draws every record
 before any state evolves, in circuit order: per noisy gate, one uniform per
 row against p, then one error index per hit row. One clean statevector then
 runs through the circuit. A trajectory enters the batch as a copy of the
-clean state at the start of the step holding its first error, so the batch
+clean state at the start of the run holding its first error, so the batch
 holds only trajectories that have erred, and those that never err share
 the clean state's value.
 
-The circuit runs in steps. Gates go in maximal commuting runs
-(`ansatz.gate_runs`) that end at each noisy gate, and a maximal stretch of
-consecutive diagonal runs is one segment. A Pauli error E commutes with a
-later diagonal rotation exp(-i t s) when E's X part meets an even number of
-the gate's Z sites, and flips the angle's sign otherwise. So a segment is
-one phase-vector multiply over every live row, the product of its gates.
-Each row that erred inside it then takes its Pauli frame: the correction
+The circuit runs in the maximal commuting runs of `ansatz.gate_runs`, and
+noise does not split them. A Pauli error E commutes with a later diagonal
+rotation exp(-i t s) when E's X part meets an even number of the gate's Z
+sites, and flips the angle's sign otherwise. So a diagonal run is one
+phase-vector multiply over every live row, the product of its gates. Each
+row that erred inside it then takes its Pauli frame: the correction
 exp(2i t s) of every later gate its frame flipped, then the product of its
 errors, X^x Z^z up to a global phase, as one sign multiply and one gather
 (Pauli-frame sampling: Knill 2005; Gidney, arXiv:2103.02202). A run of
-single-site X rotations is one Kronecker-factor pass, any other generator
-goes gate by gate, and the error that ends such a run takes the same frame
-step.
+single-site X rotations is one Kronecker-factor pass; an error in it sits
+on its gate's site, which no later gate of the run touches, so the frame
+step applies it at the run's end. Any other generator is a run of one gate.
 
 Amplification folds trailing two-qubit gates G -> G G^dag G, which leaves
 the noiseless circuit exact while multiplying its noise exposure. With n2
@@ -38,6 +37,7 @@ honest abscissa and is what the extrapolation fits against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -77,10 +77,15 @@ class ZneSchedule:
         object.__setattr__(self, "factors", factors)
         if factors[0] != 1.0:
             raise ValueError("first noise factor must be 1.0")
+        if not all(math.isfinite(f) for f in factors):
+            raise ValueError("noise factors must be finite")
         if any(b <= a for a, b in zip(factors, factors[1:])):
             raise ValueError("noise factors must be strictly increasing")
         if self.degree < 1:
             raise ValueError("extrapolation degree must be at least 1")
+        if len(factors) < self.degree + 1:
+            raise ValueError(f"a degree-{self.degree} fit needs at least "
+                             f"{self.degree + 1} noise factors")
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,9 @@ def fold_gates(circuit: Circuit, factor: float) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(out))
 
 
-def _runs_and_angles(circuit: Circuit, noisy=None):
+def _runs_and_angles(circuit: Circuit):
     """`ansatz.gate_runs` of the circuit's generators, and its angles."""
-    return (gate_runs([g.generator for g in circuit.gates], noisy),
+    return (gate_runs([g.generator for g in circuit.gates]),
             np.array([g.angle for g in circuit.gates], dtype=np.float64))
 
 
@@ -178,19 +183,7 @@ def _error_records(rng, rows: int, noisy) -> dict:
     return records
 
 
-def _steps(runs) -> list:
-    """The runs in steps: a maximal stretch of consecutive diagonal runs is
-    one segment, and any other run is a step of its own."""
-    steps = []
-    for i, run in enumerate(runs):
-        if run[0] == "z" and steps and runs[steps[-1][-1]][0] == "z":
-            steps[-1].append(i)
-        else:
-            steps.append([i])
-    return steps
-
-
-def _apply_frame(B, at, x, z, flips=None, factors=None) -> None:
+def _apply_frame(B, at, x, z, flips, factors) -> None:
     """In place on the rows B[at]: for each gate j that a row's frame flipped
     (flips[row, j] set), the correction factors[j]; then the row's Pauli
     X^x Z^z, up to a global phase, as one sign multiply and one gather. Rows
@@ -205,9 +198,8 @@ def _apply_frame(B, at, x, z, flips=None, factors=None) -> None:
         g = slice(r, r + step)
         sel = at[g]
         rows = B[sel]
-        if flips is not None:
-            for i, j in zip(*np.nonzero(flips[g])):
-                rows[i] *= factors[j]
+        for i, j in zip(*np.nonzero(flips[g])):
+            rows[i] *= factors[j]
         # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
         # it to i ^ x, which within row r is flat index (r dim + i) ^ x
         rows *= 1.0 - 2.0 * (np.bitwise_count(index & z[g]) & 1)
@@ -233,11 +225,9 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
         raise ValueError(f"p1 noise is defined on one-site gates, not on a "
                          f"{other[0]}-site gate; run it with p1 = 0")
     probs = [noise.p2 if w == 2 else noise.p1 for w in weights]
-    runs, angles = _runs_and_angles(circuit, [p > 0 for p in probs])
-    # a noisy gate ends its run: (run index, p, error masks) per noisy gate
-    noisy = [(i, probs[stop - 1], _error_masks(circuit.gates[stop - 1].generator))
-             for i, (_, _, stop, _) in enumerate(runs) if probs[stop - 1] > 0]
-    steps = _steps(runs)
+    runs, angles = _runs_and_angles(circuit)
+    noisy = [(p, prob, _error_masks(g.generator))
+             for p, (prob, g) in enumerate(zip(probs, circuit.gates)) if prob > 0]
     base = plus_state(L).amplitudes
 
     total = 0
@@ -256,37 +246,39 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
         B = np.empty((order.size + 1, base.size), dtype=np.complex128)
         B[0] = base
         live = 1
-        for step in steps:
-            start, stop = runs[step[0]][1], runs[step[-1]][2]
-            hits = [(runs[i][2] - start, *records[i]) for i in step if i in records]
-            # rows that first err in this step join as the clean row at its start
+        for run in runs:
+            kind, start, stop, keys = run
+            # per noisy gate that hit a row: (its position in the run + 1, record)
+            hits = [(p + 1 - start, *records[p]) for p in range(start, stop) if p in records]
+            # rows that first err in this run join as the clean row at its start
             for _, _, first, _, _ in hits:
                 B[live : live + first.size] = B[0]
                 live += first.size
-            if runs[step[0]][0] != "z":
-                apply_run(B[:live], runs[step[0]], angles[start:stop], L)
-                for _, hit_rows, _, x, z in hits:
-                    _apply_frame(B, pos[hit_rows], x, z)
-                continue
-            keys = sum((runs[i][3] for i in step), ())
-            signs = _z_block(B[:live], keys, angles[start:stop], 1 << L)
+            if kind == "z":
+                signs = _z_block(B[:live], keys, angles[start:stop], 1 << L)
+            else:
+                apply_run(B[:live], run, angles[start:stop], L)
             if not hits:
                 continue
-            # each erring row's frame: the product of its errors in the step,
-            # and the angles of the later gates whose sign that frame flipped
+            # each erring row's frame: the product of its errors in the run,
+            # and the angles of the later diagonal gates whose sign that
+            # frame flipped. An error in an X run sits on its gate's site,
+            # which no later gate of the run touches.
             erred = np.unique(np.concatenate([h[1] for h in hits]))
             x = np.zeros(erred.size, dtype=np.int64)
             z = np.zeros(erred.size, dtype=np.int64)
-            flips = np.zeros((erred.size, len(keys)), dtype=np.uint8)
-            zmasks = np.array(keys, dtype=np.int64)
+            zmasks = np.array(keys if kind == "z" else (), dtype=np.int64)
+            flips = np.zeros((erred.size, zmasks.size), dtype=np.uint8)
             for end, hit_rows, _, ex, ez in hits:
                 k = np.searchsorted(erred, hit_rows)
                 x[k] ^= ex
                 z[k] ^= ez
                 flips[k, end:] ^= np.bitwise_count(ex[:, None] & zmasks[end:]) & 1
-            # a flipped gate exp(+i t s) is exp(-i t s) times exp(2i t s)
-            turn = np.exp(2j * angles[start:stop])[:, None]
-            factors = np.where(signs > 0, turn, turn.conj())
+            factors = None
+            if kind == "z":
+                # a flipped gate exp(+i t s) is exp(-i t s) times exp(2i t s)
+                turn = np.exp(2j * angles[start:stop])[:, None]
+                factors = np.where(signs > 0, turn, turn.conj())
             _apply_frame(B, pos[erred], x, z, flips, factors)
         values = sum_expectation_raw(B, obs)
         piece = np.full(rows, values[0])  # rows that never err
@@ -299,11 +291,11 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
 
 def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
                       trajectories: int, seed: int = 0, stream: int = 0,
-                      chunk: int = 2048, circuit_id: str = "zne") -> EstimateRecord:
+                      chunk: int = 2048) -> EstimateRecord:
     """Trajectory Monte Carlo mean of <obs> under per-gate Pauli noise."""
     values = _trajectory_values(circuit, obs, noise, trajectories, seed, stream, chunk)
     std_error = float(values.std() / np.sqrt(trajectories))
-    return EstimateRecord(float(values.mean()), std_error, trajectories, circuit_id, "X")
+    return EstimateRecord(float(values.mean()), std_error, trajectories, "zne", "X")
 
 
 def extrapolate(schedule: ZneSchedule, values) -> float:
@@ -330,19 +322,17 @@ def zne_pipeline(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
     n2 = circuit.two_qubit_count
     if n2 == 0:
         raise ValueError("no two-qubit gates to fold")
+    folded = [fold_gates(circuit, factor) for factor in schedule.factors]
+    achieved = [c.two_qubit_count / n2 for c in folded]
+    if len(set(achieved)) < schedule.degree + 1:
+        raise ValueError(f"the noise factors fold to {len(set(achieved))} distinct "
+                         f"factors; a degree-{schedule.degree} fit needs "
+                         f"{schedule.degree + 1}")
     noiseless = noiseless_expectation(circuit, obs)
-    estimates = []
-    achieved = []
-    errors = []
-    for i, factor in enumerate(schedule.factors):
-        folded = fold_gates(circuit, factor)
-        achieved.append(folded.two_qubit_count / n2)
-        rec = noisy_expectation(
-            folded, obs, noise, trajectories, seed=seed, stream=i,
-            circuit_id=f"zne:f{factor}",
-        )
-        estimates.append(rec.value)
-        errors.append(rec.std_error)
+    records = [noisy_expectation(c, obs, noise, trajectories, seed=seed, stream=i)
+               for i, c in enumerate(folded)]
+    estimates = [rec.value for rec in records]
+    errors = [rec.std_error for rec in records]
     extrapolated = extrapolate(schedule, zip(achieved, estimates))
     weights = _extrapolation_weights(schedule, achieved)
     return {

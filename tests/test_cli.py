@@ -391,6 +391,14 @@ def test_main_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", bad]) == 1
     assert "statevector range" in capsys.readouterr().out
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 1
+    # ZNE schedules that could never be fitted fail before any trajectory
+    infinite = _write_cfg(tmp_path, "kind = zne\nL = 4\nfactors = 1.0,2.0,inf\n", "inf.cfg")
+    assert main(["validate", infinite]) == 1
+    assert "finite" in capsys.readouterr().out
+    short = _write_cfg(tmp_path, "kind = zne\nL = 4\nfactors = 1.0,2.0\ndegree = 2\n",
+                       "short.cfg")
+    assert main(["validate", short]) == 1
+    assert "at least 3 noise factors" in capsys.readouterr().out
 
 
 def test_main_run_success_and_overrides(tmp_path, capsys):
@@ -437,20 +445,55 @@ def test_dump_state_rejected_for_energy_scan(tmp_path, capsys):
 
 
 def test_benchmark_imports_still_resolve():
-    # the benchmark imports package names directly; a deleted or renamed
-    # name would break it with no other test failing
+    # the benchmark imports package names directly and calls them; a deleted
+    # or renamed name, or a changed signature, would break it with no other
+    # test failing
     import ast
     import importlib
+    import inspect
 
-    source = REPO / "perfbench" / "workloads.py"
-    names = []
-    for node in ast.walk(ast.parse(source.read_text())):
+    tree = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("isingdefect"):
             module = importlib.import_module(node.module)
-            names += [alias.name for alias in node.names]
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{node.module} lacks {missing}"
-    assert {"derivative_state", "gradient_shot", "metric_shot", "pauli_apply_raw"} <= set(names)
+            imported.update((a.name, getattr(module, a.name)) for a in node.names)
+    assert {"derivative_state", "gradient_shot", "metric_shot", "pauli_apply_raw"} <= set(imported)
+
+    def resolve(expr):
+        """(name, object) of a package name or an attribute of one, else None."""
+        if isinstance(expr, ast.Name) and expr.id in imported:
+            return expr.id, imported[expr.id]
+        if isinstance(expr, ast.Attribute):
+            owner = resolve(expr.value)
+            if owner is not None:
+                assert hasattr(owner[1], expr.attr), f"{owner[0]} lacks {expr.attr}"
+                return f"{owner[0]}.{expr.attr}", getattr(owner[1], expr.attr)
+        return None
+
+    checked = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target, args = resolve(node.func), node.args
+        if isinstance(node.func, ast.Name) and node.func.id == "call":
+            # call(label, fn, *args) calls fn(*args)
+            target, args = resolve(node.args[1]), node.args[2:]
+        if target is None or not callable(target[1]):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in args)
+        assert all(kw.arg is not None for kw in node.keywords)
+        try:
+            inspect.signature(target[1]).bind(*[None] * len(args),
+                                              **{kw.arg: None for kw in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"workloads.py line {node.lineno}: {target[0]}: {exc}")
+        checked.add(target[0])
+    assert {"optimize", "zne_pipeline", "gradient_shot", "ybar_hadamard",
+            "correlator_profile_shot", "cli.run", "cli.parse_config_text",
+            "ZneSchedule", "OptimizeOptions"} <= checked
 
 
 # Tracer bindings whose call site has moved: their traced figures read 0

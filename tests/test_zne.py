@@ -49,6 +49,12 @@ def test_schedule_defaults_and_validation():
         ZneSchedule(factors=(1.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         ZneSchedule(degree=0)
+    with pytest.raises(ValueError, match="finite"):
+        ZneSchedule(factors=(1.0, 2.0, float("inf")))
+    with pytest.raises(ValueError, match="finite"):
+        ZneSchedule(factors=(1.0, float("nan")), degree=1)
+    with pytest.raises(ValueError, match="at least 3 noise factors"):
+        ZneSchedule(factors=(1.0, 2.0), degree=2)
 
 
 def test_fold_factor_one_is_identity():
@@ -320,6 +326,18 @@ def test_pipeline_needs_a_two_qubit_gate():
     with pytest.raises(ValueError, match="no two-qubit gates to fold"):
         zne_pipeline(Circuit(2, gates), H, NoiseModel(p2=0.02),
                      ZneSchedule(factors=(1.0, 2.0), degree=1), trajectories=10)
+
+
+def test_pipeline_rejects_factors_that_fold_alike_before_any_draw(monkeypatch):
+    # at L=4, N=1 both factors fold to the same 3 two-qubit gates
+    spec = AnsatzSpec(L=4, N=1, boundary="open")
+    circ = ansatz_circuit(spec, init_params(spec, seed=1))
+    H = build_hamiltonian(ModelParams(L=4))
+    assert fold_gates(circ, 1.2).two_qubit_count == circ.two_qubit_count == 3
+    monkeypatch.setattr(zne, "_error_records", _no_draws)
+    with pytest.raises(ValueError, match="1 distinct factors"):
+        zne_pipeline(circ, H, NoiseModel(p2=0.02), ZneSchedule(factors=(1.0, 1.2), degree=1),
+                     trajectories=10)
 
 
 def test_extrapolation_weights_of_a_two_point_line():
