@@ -36,7 +36,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .ansatz import AnsatzSpec, prepare_state
@@ -194,8 +193,8 @@ def validate(config: ExperimentConfig) -> list:
                 diags.append(f"L={L}, v={v:g}: {exc}")
     if config.N is not None and config.N < 1:
         diags.append("N must be at least 1")
-    if config.eta <= 0:
-        diags.append("eta must be positive")
+    if not 0 < config.eta < np.inf:  # NaN fails both comparisons
+        diags.append("eta must be positive and finite")
     if config.max_iters < 1:
         diags.append("max_iters must be at least 1")
     if config.default_runs() < 1:
@@ -319,6 +318,7 @@ def _run_circuits(config, out_dir, outputs, dump_hamiltonian, dump_state):
                    json.dumps(report, indent=2, sort_keys=True) + "\n", outputs)
             inst.update(unmitigated=report["estimates"][0],
                         extrapolated=report["extrapolated"],
+                        extrapolated_std_error=report["extrapolated_std_error"],
                         noiseless_reference=report["noiseless_reference"],
                         exact_energy=ground_energy_gap(mp)[0])
         if kind != "zne":
@@ -365,6 +365,8 @@ def run(config: ExperimentConfig, out_dir,
     outputs = []
     runner = _run_energy_scan if config.kind == "energy-scan" else _run_circuits
     results = runner(config, out_dir, outputs, dump_hamiltonian, dump_state)
+    import scipy
+
     record = RunRecord(
         kind=config.kind,
         config_hash=config_hash(config),

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .paulis import PauliString, WeightedPauliSum, dense_matrix
 from .statevector import StateVector
@@ -144,6 +143,8 @@ def _lowest_levels(A: np.ndarray, parity: int | None) -> tuple[float, float]:
     e_vac = -0.5 * float(eps.sum())
     if parity is None:
         return e_vac, e_vac + eps[0]
+    import scipy.linalg
+
     T, tau, _ = scipy.linalg.lapack.dgehrd(A)
     pf_sign = (-1) ** np.count_nonzero(tau) * np.prod(np.sign(np.diag(T, 1)[::2]))
     if (-1) ** (n // 2) * pf_sign == parity:
@@ -169,6 +170,8 @@ def ground_energy_gap(p: ModelParams) -> tuple[float, float]:
 
 @lru_cache(maxsize=64)
 def _exact_ground_cached(p: ModelParams) -> SpectrumResult:
+    import scipy.linalg
+
     mat = dense_matrix(build_hamiltonian(p))
     w, V = scipy.linalg.eigh(mat, subset_by_index=(0, 1), overwrite_a=True)
     state = StateVector(p.L, V[:, 0].astype(np.complex128))

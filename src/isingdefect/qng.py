@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .ansatz import (
     AnsatzSpec,
@@ -119,6 +118,8 @@ class OptimizerState:
 
 def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> OptimizerState:
     """One natural-gradient update; energy_fn enables the halving safeguard."""
+    import scipy.linalg
+
     grad = np.asarray(grad, dtype=np.float64)
     metric = np.asarray(metric, dtype=np.float64)
     P = grad.size

@@ -207,6 +207,43 @@ def test_package_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _package_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy.linalg would be most of the package's import time; only the QNG
+    # solve, the ring parity sign and exact_ground import it, when they run
+    code = ("import sys, isingdefect, isingdefect.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _package_python(code) == "[]"
+
+
+def test_zne_and_shot_estimators_leave_scipy_linalg_unloaded():
+    code = """
+import sys
+from isingdefect import (AnsatzSpec, ModelParams, NoiseModel, ShotPlan, ZneSchedule,
+                         ansatz_circuit, build_hamiltonian, correlator_profile_shot,
+                         gradient_shot, init_params, metric_shot, prepare_state,
+                         ybar_hadamard, zne_pipeline)
+spec = AnsatzSpec(L=4, N=2, boundary="open")
+zne_pipeline(ansatz_circuit(spec, init_params(spec, 0)), build_hamiltonian(ModelParams(L=4)),
+             NoiseModel(p2=0.02), ZneSchedule(factors=(1.0, 2.0, 3.0), degree=1), 64, 0)
+ring = AnsatzSpec(L=4, N=2, boundary="periodic")
+params = init_params(ring, 0)
+plan = ShotPlan(shots=64, seed=0)
+gradient_shot(ring, params, build_hamiltonian(ModelParams(L=4, b=1)), plan)
+metric_shot(ring, params, plan)
+ybar_hadamard(ring, params, plan)
+correlator_profile_shot(prepare_state(ring, params), plan, runs=2)
+print("scipy.linalg" in sys.modules)
+"""
+    assert _package_python(code) == "False"
+
+
 def test_run_energy_scan_writes_rows(tmp_path):
     cfg = ExperimentConfig(kind="energy-scan", L=(4,), b=1,
                            v=(0.0, 0.5, 1.0))
@@ -285,6 +322,7 @@ def test_run_zne_writes_report(tmp_path):
     assert len(report["estimates"]) == 3
     assert "extrapolated" in report and "noiseless_reference" in report
     inst = record.results["instances"][0]
+    assert inst["extrapolated_std_error"] == report["extrapolated_std_error"] > 0
     assert inst["noiseless_reference"] == pytest.approx(
         exact_ground(ModelParams(L=4)).ground_energy, rel=1e-3)
 
@@ -334,7 +372,7 @@ RECORD_LAYOUTS = {
     "energy-scan": (["hamiltonian_{tag}.npy"], [], {"L", "points"}),
     "zne": (["zne_{tag}.json", "hamiltonian_{tag}.npy", "state_{tag}.npy"], [],
             {"L", "v", "converged", "unmitigated", "extrapolated",
-             "noiseless_reference", "exact_energy"}),
+             "extrapolated_std_error", "noiseless_reference", "exact_energy"}),
 }
 
 
@@ -399,6 +437,11 @@ def test_main_validate_exit_codes(tmp_path, capsys):
                        "short.cfg")
     assert main(["validate", short]) == 1
     assert "at least 3 noise factors" in capsys.readouterr().out
+    # eta = nan passed `eta <= 0`, and the run then rejected its first step
+    for eta in ("nan", "inf"):
+        cfg = _write_cfg(tmp_path, f"kind = optimize\nL = 4\neta = {eta}\n", "eta.cfg")
+        assert main(["validate", cfg]) == 1
+        assert "eta must be positive and finite" in capsys.readouterr().out
 
 
 def test_main_run_success_and_overrides(tmp_path, capsys):
