@@ -361,12 +361,12 @@ def run(config: ExperimentConfig, out_dir,
                          f"and needs L <= {DENSE_LIMIT}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    import scipy
+
     started = time.monotonic()
     outputs = []
     runner = _run_energy_scan if config.kind == "energy-scan" else _run_circuits
     results = runner(config, out_dir, outputs, dump_hamiltonian, dump_state)
-    import scipy
-
     record = RunRecord(
         kind=config.kind,
         config_hash=config_hash(config),

@@ -196,22 +196,18 @@ def test_run_energy_remeasurement_reads_each_term_once(tmp_path, monkeypatch):
     assert math.isfinite(record.results["instances"][0]["measured_energy"])
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about a second to every process that imports the
-    # package
-    code = "import sys, isingdefect; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def _package_python(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about a second to every process that imports the
+    # package
+    code = "import sys, isingdefect; print('scipy.stats' in sys.modules)"
+    assert _package_python(code) == "False"
 
 
 def test_package_import_leaves_scipy_unloaded():
