@@ -10,14 +10,16 @@ Parameters are ordered exactly as the gates fire, layer by layer:
 bond count (L-1 open, L periodic, the wrap bond Z_L Z_1 last). One angle per
 gate, R(t) = exp(-i t G), so the count is (3L-1)N open and 3LN periodic.
 
-Circuit passes run block by block. Consecutive gates that commute form one
-block (`gate_runs`, which `zne` shares for folded gate lists): a diagonal
-block (the Z fields of layer a with the ZZ bonds of layer a+1) is one
+One circuit pass, `circuit_pass`, runs block by block, and `apply_run` is
+the one executor of a block. Consecutive gates that commute form one block
+(`gate_runs`, which `zne` shares for folded gate lists): a diagonal block
+(the Z fields of layer a with the ZZ bonds of layer a+1) is one
 phase-vector multiply exp(-i sum_p t_p s_p), and an X block (one X rotation
 per site) is a few Kronecker factors of at most FACTOR_SITES adjacent sites,
 applied by matmul on a reshaped view. A derivative insertion -i O_p
 commutes with the rest of its block, so `derivative_sweep` writes all of a
-block's derivative rows at once, at the block's end.
+block's derivative rows at once, at the block's end, from the sign rows
+`apply_run` returns for a diagonal block.
 """
 from __future__ import annotations
 
@@ -162,54 +164,54 @@ def _z_block(batch, keys, angles, dim: int) -> np.ndarray:
     return signs
 
 
-def apply_run(batch, run, angles, L: int) -> None:
+def apply_run(batch, run, angles, L: int):
     """In-place gates of one `gate_runs` run on a raw (rows, 2^L) batch;
-    `angles` are the run's angles in firing order."""
+    `angles` are the run's angles in firing order. Returns a diagonal run's
+    sign rows s_p, and None for any other run."""
     kind, _, _, keys = run
     if kind == "z":
-        _z_block(batch, keys, angles, 1 << L)
-    elif kind == "x":
+        return _z_block(batch, keys, angles, 1 << L)
+    if kind == "x":
         _x_block(batch, keys, angles, L)
     else:
         rotation_apply_raw(batch, RotationGate(keys[0], float(angles[0])))
+    return None
 
 
-def _circuit_pass(spec: AnsatzSpec, params, derivatives: bool) -> np.ndarray:
-    """Row 0 is U|+>; with derivatives, row p+1 is U_>p (-i O_p) U_<=p |+>."""
-    P = parameter_count(spec)
-    if len(params) != P:
+def circuit_pass(runs, angles, L: int, derivatives: bool = False) -> np.ndarray:
+    """Run by run over |+>: row 0 is U|+>. With derivatives, row p+1 is
+    U_>p (-i O_p) U_<=p |+>, for runs of Z and single-site X gates."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if len(angles) != sum(stop - start for _, start, stop, _ in runs):
         raise ValueError("parameter count mismatch")
-    params = np.asarray(params, dtype=np.float64)
-    L = spec.L
     dim = 1 << L
-    batch = np.empty((P + 1 if derivatives else 1, dim), dtype=np.complex128)
+    batch = np.empty((len(angles) + 1 if derivatives else 1, dim), dtype=np.complex128)
     batch[0] = plus_state(L).amplitudes
     psi = batch[0]
-    for kind, start, stop, keys in _blocks(spec):
-        live = batch[: start + 1]  # psi and the derivative rows made so far
-        angles = params[start:stop]
-        if kind == "z":
-            signs = _z_block(live, keys, angles, dim)
-            if derivatives:
-                np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
-        else:
-            _x_block(live, keys, angles, L)
-            if derivatives:  # -i X_site flips the pair axis of a view
-                psi_mi = -1j * psi
-                for p, site in enumerate(keys, start + 1):
-                    flipped = _pair_view(psi_mi, site, dim)[..., ::-1, :]
-                    _pair_view(batch[p], site, dim)[...] = flipped
+    for run in runs:
+        _, start, stop, keys = run
+        # psi and the derivative rows made so far
+        signs = apply_run(batch[: start + 1], run, angles[start:stop], L)
+        if not derivatives:
+            continue
+        if signs is not None:
+            np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
+        else:  # -i X_site flips the pair axis of a view
+            psi_mi = -1j * psi
+            for p, site in enumerate(keys, start + 1):
+                flipped = _pair_view(psi_mi, site, dim)[..., ::-1, :]
+                _pair_view(batch[p], site, dim)[...] = flipped
     return batch
 
 
 def derivative_sweep(spec: AnsatzSpec, params):
     """(psi, D) with D[p] = d psi / d params[p], all from one circuit pass."""
-    batch = _circuit_pass(spec, params, derivatives=True)
+    batch = circuit_pass(_blocks(spec), params, spec.L, derivatives=True)
     return batch[0], batch[1:]
 
 
 def prepare_state(spec: AnsatzSpec, params) -> StateVector:
-    return StateVector(spec.L, _circuit_pass(spec, params, derivatives=False)[0])
+    return StateVector(spec.L, circuit_pass(_blocks(spec), params, spec.L)[0])
 
 
 def init_params(spec: AnsatzSpec, seed: int = 0) -> np.ndarray:

@@ -165,20 +165,22 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def validate(config: ExperimentConfig) -> list:
-    """All problems with the config, as human-readable strings."""
-    diags = []
+    """All problems with the config, as human-readable strings. The library
+    types check their own fields; only the CLI's limits are checked here."""
     if config.kind not in KINDS:
-        diags.append(f"kind must be one of {', '.join(KINDS)}; got {config.kind!r}")
-        return diags
+        return [f"kind must be one of {', '.join(KINDS)}; got {config.kind!r}"]
+    diags = []
+
+    def check(prefix, build, *args, **kwargs):
+        try:
+            build(*args, **kwargs)
+        except ValueError as exc:
+            diags.append(f"{prefix}{exc}")
+
     if not config.L:
         diags.append("L must list at least one chain length")
     circuit_kind = config.kind != "energy-scan"
     for L in config.L:
-        if L < 1:
-            diags.append(f"L={L} is not a valid chain length")
-            continue
-        if circuit_kind and L < 2:
-            diags.append(f"L={L}: circuit experiments need at least 2 sites")
         if circuit_kind and L > STATEVECTOR_LIMIT:
             diags.append(f"L={L}: statevector range exceeded (circuit kinds "
                          f"need L <= {STATEVECTOR_LIMIT})")
@@ -186,34 +188,19 @@ def validate(config: ExperimentConfig) -> list:
             diags.append(f"L={L}: energy-scan needs L <= {SCAN_LIMIT}")
         if circuit_kind and config.N is None and L % 2 != 0:
             diags.append(f"L={L} is odd; N defaults to L/2, so set N explicitly")
+        if circuit_kind:
+            check(f"L={L}: ", AnsatzSpec, L, L // 2 if config.N is None else config.N)
         for v in config.v:
-            try:
-                ModelParams(L=L, b=config.b, v=v, j=config.j)
-            except ValueError as exc:
-                diags.append(f"L={L}, v={v:g}: {exc}")
-    if config.N is not None and config.N < 1:
-        diags.append("N must be at least 1")
-    if not 0 < config.eta < np.inf:  # NaN fails both comparisons
-        diags.append("eta must be positive and finite")
-    if config.max_iters < 1:
-        diags.append("max_iters must be at least 1")
+            check(f"L={L}, v={v:g}: ", ModelParams, L=L, b=config.b, v=v, j=config.j)
+    check("", OptimizeOptions, eta=config.eta, max_iters=config.max_iters)
     if config.default_runs() < 1:
         diags.append("runs must be positive")
-    if config.default_shots() < 1:
-        diags.append("shots must be positive")
-    if config.seed < 0:
-        diags.append("seed must be non-negative")
+    check("", ShotPlan, shots=config.default_shots(), seed=config.seed)
     if config.kind == "zne":
         if config.trajectories < 1:
             diags.append("trajectories must be positive")
-        try:
-            NoiseModel(p2=config.p2, p1=config.p1)
-        except ValueError as exc:
-            diags.append(str(exc))
-        try:
-            ZneSchedule(factors=config.factors or (), degree=config.degree)
-        except ValueError as exc:
-            diags.append(str(exc))
+        check("", NoiseModel, p2=config.p2, p1=config.p1)
+        check("", ZneSchedule, factors=config.factors or (), degree=config.degree)
     return diags
 
 
@@ -238,7 +225,7 @@ def _vtag(v: float) -> str:
 def _mean_se(per_run):
     """Mean of the per-run values and its standard error (0 for one run)."""
     arr = np.array(per_run)
-    se = float(arr.std() / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return float(arr.mean()), se
 
 
@@ -445,11 +432,6 @@ def main(argv=None) -> int:
         config = replace(config, shots=args.shots)
     if args.analytic:
         config = replace(config, analytic=True)
-    diags = validate(config)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return 1
     out_dir = args.out_dir or f"runs/{config.kind}-{config_hash(config)[:12]}"
     try:
         record = run(config, out_dir,

@@ -123,8 +123,6 @@ def _loop_overlap(state: StateVector) -> complex:
 
 def ybar_exact(state: StateVector) -> float:
     """2 Re[(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>]."""
-    if state.n_qubits > 14:
-        raise ValueError("exact loop expectation guarded to L <= 14")
     return float(2.0 * _loop_overlap(state).real)
 
 

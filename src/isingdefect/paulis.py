@@ -203,10 +203,12 @@ class WeightedPauliSum:
         return sum(abs(c) for c in self._terms.values())
 
 
-def parity_signs(mask: int, dim: int):
-    """(-1)^popcount(k & mask) as float64, for every basis index k < dim."""
+def parity_signs(mask, dim: int):
+    """(-1)^popcount(k & mask) as float64, for every basis index k < dim;
+    an array of masks gives one row of signs per mask."""
     idx = np.arange(dim, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1)).astype(np.float64)
+    masks = np.asarray(mask, dtype=np.uint64)[..., None]
+    return 1.0 - 2.0 * (np.bitwise_count(idx & masks) & 1)
 
 
 def dense_matrix(H: WeightedPauliSum):

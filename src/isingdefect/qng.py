@@ -12,8 +12,10 @@ gradient, the metric and the optimizer all read that batch.
 Regularization and step-halving are deterministic safeguards: lam starts at
 1e-4 and escalates tenfold when the shifted solve is not positive definite,
 and a step that raises the energy by more than 1e-9 is halved up to 8 times
-before being rejected outright. A rejected step ends `optimize`: the next
-iteration would recompute the same direction and reject it again.
+before being rejected outright. A rejected step leaves the state where it
+was and ends `optimize`: the next iteration would recompute the same
+direction and reject it again. `optimize` returns the last state it
+evaluated, and computes no step on its last allowed iteration.
 """
 from __future__ import annotations
 
@@ -112,7 +114,8 @@ class OptimizerState:
     learning_rate: float = 0.05
     converged: bool = False
     # why optimize stopped: rel_tol, grad_tol, max_iters, or rejected (set by
-    # qng_step when the full step and all 8 halvings raise the energy)
+    # qng_step, which then leaves the rest of the state as it was, when the
+    # full step and all 8 halvings raise the energy)
     stop_reason: str = ""
 
 
@@ -127,7 +130,9 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> Op
         raise ValueError("metric dimensions do not match gradient")
     lam_cur = lam
     direction = None
-    for _ in range(7):
+    for attempt in range(7):
+        if attempt:
+            lam_cur = 1e-4 if lam_cur == 0.0 else lam_cur * 10
         shifted = metric + lam_cur * np.eye(P)
         try:
             cand = scipy.linalg.solve(shifted, grad, assume_a="pos")
@@ -136,7 +141,6 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> Op
         if cand is not None and np.all(np.isfinite(cand)):
             direction = cand
             break
-        lam_cur = 1e-4 if lam_cur == 0.0 else lam_cur * 10
     if direction is None:
         raise RuntimeError(f"metric solve failed even at lambda={lam_cur:g}")
 
@@ -151,7 +155,7 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> Op
             eta *= 0.5
             new_params = state.params - eta * direction
         else:
-            return replace(state, iteration=state.iteration + 1, stop_reason="rejected")
+            return replace(state, stop_reason="rejected")
     return replace(
         state,
         params=new_params,
@@ -167,6 +171,12 @@ class OptimizeOptions:
     seed: int = 0
     rel_tol: float = 1e-3
     plain_gradient: bool = False  # identity metric, for head-to-head baselines
+
+    def __post_init__(self):
+        if not 0 < self.eta < math.inf:  # NaN fails both comparisons
+            raise ValueError("eta must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -203,8 +213,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     )
     identity = np.eye(P) if opts.plain_gradient else None
     trace = []
-    best = None
-    for _ in range(opts.max_iters):
+    while True:
         psi, D = derivative_sweep(spec, state.params)
         hpsi = sum_apply_raw(psi, H)
         energy = float(np.vdot(psi, hpsi).real)
@@ -215,20 +224,14 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         state.grad_norm = float(np.linalg.norm(grad))
         rel = abs(energy - target) / abs(target)
         trace.append(TraceRow(state.iteration, energy, state.grad_norm, rel))
-        if best is None or energy < best.energy:
-            best = replace(state, params=state.params.copy())
         if rel < opts.rel_tol:
             state.converged, state.stop_reason = True, "rel_tol"
-            break
-        if state.grad_norm < GRAD_TOL:
+        elif state.grad_norm < GRAD_TOL:
             state.converged, state.stop_reason = True, "grad_tol"
-            break
-        metric = identity if identity is not None else _metric(D, w)
-        state = qng_step(state, grad, metric, energy_fn=energy_fn)
+        elif len(trace) == opts.max_iters:
+            state.stop_reason = "max_iters"
+        else:
+            metric = identity if identity is not None else _metric(D, w)
+            state = qng_step(state, grad, metric, energy_fn=energy_fn)
         if state.stop_reason:
-            break
-    if state.converged:
-        return state, trace
-    best.converged = False
-    best.stop_reason = state.stop_reason or "max_iters"
-    return best, trace
+            return state, trace

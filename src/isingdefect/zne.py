@@ -44,9 +44,9 @@ from itertools import product
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, _z_block, apply_run, gate_runs, gates as ansatz_gates
+from .ansatz import AnsatzSpec, apply_run, circuit_pass, gate_runs, gates as ansatz_gates
 from .measure import EstimateRecord
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import PauliString, WeightedPauliSum, parity_signs
 from .statevector import RotationGate, plus_state, sum_expectation_raw
 
 _LETTERS = ("I", "X", "Y", "Z")
@@ -144,10 +144,7 @@ def _runs_and_angles(circuit: Circuit):
 def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
     if obs.n_qubits != circuit.n_qubits:
         raise ValueError("register size mismatch")
-    runs, angles = _runs_and_angles(circuit)
-    amps = plus_state(circuit.n_qubits).amplitudes
-    for run in runs:
-        apply_run(amps[None], run, angles[run[1] : run[2]], circuit.n_qubits)
+    amps = circuit_pass(*_runs_and_angles(circuit), circuit.n_qubits)[0]
     return float(sum_expectation_raw(amps, obs))
 
 
@@ -192,8 +189,6 @@ def _apply_frame(B, at, x, z, flips, factors) -> None:
     dim = B.shape[1]
     step = max(1, FRAME_BYTES // B[0].nbytes)
     flat = np.arange(step * dim).reshape(step, dim)  # row r, index i: r dim + i
-    index = np.arange(dim, dtype=np.uint32)
-    z = z.astype(np.uint32)[:, None]
     for r in range(0, at.size, step):
         g = slice(r, r + step)
         sel = at[g]
@@ -202,7 +197,7 @@ def _apply_frame(B, at, x, z, flips, factors) -> None:
             rows[i] *= factors[j]
         # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
         # it to i ^ x, which within row r is flat index (r dim + i) ^ x
-        rows *= 1.0 - 2.0 * (np.bitwise_count(index & z[g]) & 1)
+        rows *= parity_signs(z[g], dim)
         B[sel] = rows.take(flat[: sel.size] ^ x[g, None])
 
 
@@ -247,17 +242,14 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
         B[0] = base
         live = 1
         for run in runs:
-            kind, start, stop, keys = run
+            _, start, stop, keys = run
             # per noisy gate that hit a row: (its position in the run + 1, record)
             hits = [(p + 1 - start, *records[p]) for p in range(start, stop) if p in records]
             # rows that first err in this run join as the clean row at its start
             for _, _, first, _, _ in hits:
                 B[live : live + first.size] = B[0]
                 live += first.size
-            if kind == "z":
-                signs = _z_block(B[:live], keys, angles[start:stop], 1 << L)
-            else:
-                apply_run(B[:live], run, angles[start:stop], L)
+            signs = apply_run(B[:live], run, angles[start:stop], L)
             if not hits:
                 continue
             # each erring row's frame: the product of its errors in the run,
@@ -267,7 +259,7 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
             erred = np.unique(np.concatenate([h[1] for h in hits]))
             x = np.zeros(erred.size, dtype=np.int64)
             z = np.zeros(erred.size, dtype=np.int64)
-            zmasks = np.array(keys if kind == "z" else (), dtype=np.int64)
+            zmasks = np.array(keys if signs is not None else (), dtype=np.int64)
             flips = np.zeros((erred.size, zmasks.size), dtype=np.uint8)
             for end, hit_rows, _, ex, ez in hits:
                 k = np.searchsorted(erred, hit_rows)
@@ -275,7 +267,7 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
                 z[k] ^= ez
                 flips[k, end:] ^= np.bitwise_count(ex[:, None] & zmasks[end:]) & 1
             factors = None
-            if kind == "z":
+            if signs is not None:
                 # a flipped gate exp(+i t s) is exp(-i t s) times exp(2i t s)
                 turn = np.exp(2j * angles[start:stop])[:, None]
                 factors = np.where(signs > 0, turn, turn.conj())

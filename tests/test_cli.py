@@ -105,6 +105,22 @@ def test_validate_flags_each_problem():
     assert diags
     diags = validate(ExperimentConfig(kind="optimize", L=(4,), seed=-1))
     assert any("seed" in d for d in diags)
+    diags = validate(ExperimentConfig(kind="optimize", L=(4,), N=0))
+    assert any("need at least one layer" in d for d in diags)
+    for kind in ("optimize", "correlator", "ybar", "zne"):
+        diags = validate(ExperimentConfig(kind=kind, L=(1,), N=1))
+        assert any("at least two sites" in d for d in diags), kind
+    diags = validate(ExperimentConfig(kind="optimize", L=(4,), eta=-0.05))
+    assert any("eta must be positive and finite" in d for d in diags)
+    diags = validate(ExperimentConfig(kind="optimize", L=(4,), max_iters=0))
+    assert any("max_iters must be at least 1" in d for d in diags)
+
+
+def test_mean_se_is_the_standard_error_of_the_mean():
+    # two runs a and b: sample sd |a - b| / sqrt(2), so SE |a - b| / 2
+    mean, se = cli._mean_se([0.25, 1.75])
+    assert mean == 1.0 and se == pytest.approx(0.75, rel=1e-15)
+    assert cli._mean_se([0.5]) == (0.5, 0.0)
 
 
 def test_config_hash_tracks_content():
@@ -470,7 +486,9 @@ def test_main_run_internal_error_is_exit_3(tmp_path, capsys):
 def test_main_run_validation_failure_is_exit_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "kind = optimize\nL = 16\n")
     assert main(["run", cfg, "--out-dir", str(tmp_path / "x")]) == 1
-    assert "statevector range" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: invalid config: ")
+    assert "statevector range" in err[0]
 
 
 def test_dump_state_rejected_for_energy_scan(tmp_path, capsys):

@@ -128,6 +128,13 @@ def test_loop_circuit_analytic_matches_exact_path():
     assert rec.std_error == 0.0
 
 
+def test_ybar_exact_reads_the_sampler_overlap_past_l14():
+    # no size cap of its own: ybar_shots reads the same overlap uncapped
+    spec = AnsatzSpec(L=15, N=1, boundary="periodic")
+    psi = prepare_state(spec, init_params(spec, seed=3) * 50)
+    assert ybar_exact(psi) == ybar_shots(psi, ANALYTIC, ["ybar:L15"])[0].value
+
+
 def test_loop_circuit_on_optimized_state():
     mp = ModelParams(L=4, b=1, v=0.0)
     spec = AnsatzSpec(L=4, N=2, boundary="periodic")

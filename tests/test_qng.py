@@ -244,6 +244,40 @@ def test_optimize_stops_at_first_rejected_step(monkeypatch):
     assert not state.converged
     assert state.stop_reason == "rejected"
     assert state.energy == trace[0].energy
+    assert state.iteration == 0  # a rejected step leaves the state as it was
+
+
+def test_optimize_spends_no_energy_call_after_its_last_evaluation(monkeypatch):
+    # max_iters = 1 evaluates the start and takes no step
+    import isingdefect.qng as qng
+
+    calls = []
+    energy = qng.expectation
+
+    def counted(state, H):
+        calls.append(1)
+        return energy(state, H)
+
+    monkeypatch.setattr(qng, "expectation", counted)
+    mp = ModelParams(L=4, b=0, v=0.0)
+    state, trace = optimize(AnsatzSpec(L=4, N=2), mp, OptimizeOptions(max_iters=1))
+    assert calls == []
+    assert len(trace) == 1
+    assert state.iteration == 0
+    assert state.stop_reason == "max_iters"
+    assert not state.converged
+    assert np.array_equal(state.params, init_params(AnsatzSpec(L=4, N=2), 0))
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.05])
+def test_optimize_options_reject_bad_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        OptimizeOptions(eta=eta)
+
+
+def test_optimize_options_reject_zero_iterations():
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        OptimizeOptions(max_iters=0)
 
 
 def test_qng_step_escalates_and_surfaces_failure():
@@ -251,8 +285,15 @@ def test_qng_step_escalates_and_surfaces_failure():
     # negative-definite metric still solves after escalation
     out = qng_step(state, np.array([1.0]), np.array([[-1.0]]), lam=1e-4)
     assert np.isfinite(out.params[0])
-    with pytest.raises(RuntimeError, match="lambda"):
+    # the last lambda tried is 1e-4 * 10^6; the error names it
+    with pytest.raises(RuntimeError, match=r"lambda=100\b"):
         qng_step(state, np.array([1.0]), np.array([[math.nan]]))
+    # -I + lam I is not positive definite up to lam = 1 and is 9 I at
+    # lam = 10, so the step is -eta grad / 9
+    grad = np.array([1.0, -2.0])
+    state = OptimizerState(params=np.zeros(2), energy=0.0)
+    out = qng_step(state, grad, -np.eye(2), lam=1e-4)
+    assert np.max(np.abs(out.params - (-0.05 * grad / 9))) < 1e-12
 
 
 def test_optimize_small_chain_to_exact_energy():
