@@ -16,19 +16,16 @@ from .measure import (
     EstimateRecord,
     ShotPlan,
     circuit_rng,
-    estimates_to_csv,
     gradient_shot,
     metric_shot,
     sample_pauli_expectation,
 )
 from .model import (
     ModelParams,
-    SpectrumResult,
     build_hamiltonian,
     defect_coefficients,
     energy_scan,
     energy_scan_csv,
-    exact_ground,
     ground_energy_gap,
 )
 from .observables import (

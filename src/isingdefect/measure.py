@@ -133,12 +133,3 @@ def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPla
     records = []
     _sample_pm1([pauli_expectation(state, obs)], plan, [circuit_id], "X", records)
     return records[0]
-
-
-def estimates_to_csv(records) -> str:
-    lines = ["circuit_id,basis,shots,value,std_error"]
-    for r in records:
-        lines.append(
-            f"{r.circuit_id},{r.basis},{r.shots_used},{r.value:.17g},{r.std_error:.17g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,4 @@
-"""Ising chain with a tunable impurity bond, its free-fermion spectrum, and
-the dense ground-truth solver.
+"""Ising chain with a tunable impurity bond and its free-fermion spectrum.
 
 H(v) = -sum_{i<L} Z_i Z_{i+1} - sum_i X_i - b Z_L Z_1
        + c1(v) (Z_j Z_{j+1} + X_j) + c2(v) Y_j Z_{j+1}
@@ -14,20 +13,17 @@ subtracts 1 internally. For b = 1 the wrap bond j = L is permitted.
 Energies are in units of the bulk couplings (J = h = 1), dimensionless.
 
 Every term of H(v) is a Majorana bilinear under Jordan-Wigner, so the ground
-energy and gap follow in O(L^3) from a 2L x 2L matrix (`ground_energy_gap`);
-`exact_ground` diagonalizes the dense 2^L x 2^L matrix instead and is kept
-as the independent reference that also returns a state vector.
+energy and gap follow in O(L^3) from a 2L x 2L matrix (`ground_energy_gap`),
+with no 2^L x 2^L matrix built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, WeightedPauliSum, dense_matrix
-from .statevector import StateVector
+from .paulis import PauliString, WeightedPauliSum
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,6 @@ def build_hamiltonian(p: ModelParams) -> WeightedPauliSum:
         H.add(c1, PauliString.from_ops({jd: "X"}))
         H.add(c2, PauliString.from_ops({jd: "Y", jp: "Z"}))
     return H
-
-
-@dataclass
-class SpectrumResult:
-    ground_energy: float
-    ground_state: StateVector
-    gap: float
-    degenerate: bool
 
 
 def _majorana_matrix(p: ModelParams, parity: int) -> np.ndarray:
@@ -166,31 +154,6 @@ def ground_energy_gap(p: ModelParams) -> tuple[float, float]:
             for e in _lowest_levels(_majorana_matrix(p, parity), parity)
         )
     return float(levels[0]), float(levels[1] - levels[0])
-
-
-@lru_cache(maxsize=64)
-def _exact_ground_cached(p: ModelParams) -> SpectrumResult:
-    import scipy.linalg
-
-    mat = dense_matrix(build_hamiltonian(p))
-    w, V = scipy.linalg.eigh(mat, subset_by_index=(0, 1), overwrite_a=True)
-    state = StateVector(p.L, V[:, 0].astype(np.complex128))
-    gap = float(w[1] - w[0])
-    return SpectrumResult(float(w[0]), state, gap, gap < 1e-10)
-
-
-def exact_ground(p: ModelParams) -> SpectrumResult:
-    """Lowest eigenpair of the dense Hamiltonian; deterministic up to phase.
-
-    The reference route for tests, guarded by the dense conversion's size
-    limit; runtime energies and gaps come from `ground_energy_gap`. Results
-    are cached per parameter set; the returned state is a copy, safe to
-    mutate.
-    """
-    res = _exact_ground_cached(p)
-    return SpectrumResult(
-        res.ground_energy, res.ground_state.copy(), res.gap, res.degenerate
-    )
 
 
 def energy_scan(L: int, b: int, v_list, j: int | None = None):

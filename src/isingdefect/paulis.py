@@ -96,11 +96,6 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.x ^ b.x, a.z ^ b.z, e)
 
 
-def commute(a: PauliString, b: PauliString) -> bool:
-    """True when the strings commute (anticommute otherwise)."""
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
 class WeightedPauliSum:
     """Linear combination of Pauli strings with complex coefficients.
 
@@ -214,9 +209,9 @@ def parity_signs(mask, dim: int):
 def dense_matrix(H: WeightedPauliSum):
     """Dense matrix of a weighted Pauli sum, real when every term is.
 
-    The one Pauli-to-dense conversion, for test oracles, the dense
-    ground-state solver and Hamiltonian dumps; guarded to DENSE_LIMIT qubits
-    (a complex matrix is 268 MB there).
+    The one Pauli-to-dense conversion, for the CLI's Hamiltonian dumps and
+    the tests that compare the package's Hamiltonian with an independent
+    build; guarded to DENSE_LIMIT qubits (a complex matrix is 268 MB there).
     """
     n = H.n_qubits
     if n > DENSE_LIMIT:

@@ -135,7 +135,7 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> Op
             lam_cur = 1e-4 if lam_cur == 0.0 else lam_cur * 10
         shifted = metric + lam_cur * np.eye(P)
         try:
-            cand = scipy.linalg.solve(shifted, grad, assume_a="pos")
+            cand = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), grad)
         except (np.linalg.LinAlgError, ValueError):
             cand = None
         if cand is not None and np.all(np.isfinite(cand)):

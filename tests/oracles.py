@@ -1,12 +1,24 @@
-"""Independent dense-matrix oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here is built from first principles with plain numpy (kron
-products, eigh, matrix exponentials) and deliberately avoids the package's
-own kernels, so tests compare two independent routes to each number.
+Everything here is built from first principles with plain numpy and scipy
+(kron products, eigensolvers, matrix exponentials) and deliberately avoids
+the package's own kernels, so tests compare two independent routes to each
+number; of the package it reads only the `ModelParams` and `StateVector`
+containers. The Ising Hamiltonian is assembled once, as a `scipy.sparse`
+matrix, and its ground state comes from ARPACK's Lanczos (`eigsh`), which
+reaches past the sizes a dense eigensolver can afford.
 Site 0 is the least significant bit, matching the package convention.
 """
-import numpy as np
 from functools import reduce
+from typing import NamedTuple
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import eigsh
+
+from isingdefect.model import ModelParams
+from isingdefect.statevector import StateVector
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -15,10 +27,21 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
 
+def _factors(ops, L):
+    """The 2x2 factors of the Pauli string ops ({site: letter}, 0-based),
+    site 0 the rightmost."""
+    return [PAULI[ops.get(i, "I")] for i in range(L - 1, -1, -1)]
+
+
 def kron_chain(ops, L):
     """ops: {site: letter}, 0-based; site 0 is the rightmost kron factor."""
-    mats = [PAULI[ops.get(i, "I")] for i in range(L - 1, -1, -1)]
-    return reduce(np.kron, mats)
+    return reduce(np.kron, _factors(ops, L))
+
+
+def sparse_chain(ops, L):
+    """`kron_chain` as a CSR matrix, built with `scipy.sparse.kron`."""
+    return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), _factors(ops, L),
+                  scipy.sparse.identity(1, format="csr"))
 
 
 def pauli_mean(psi, ops):
@@ -28,16 +51,16 @@ def pauli_mean(psi, ops):
     return float(np.real(psi.conj() @ kron_chain(ops, L) @ psi))
 
 
-def dense_hamiltonian(L, b, v, j):
+def sparse_hamiltonian(L, b, v, j):
     """Ising chain with boundary coupling b and impurity of strength v at
-    the bond (j, j+1), j 1-based."""
-    H = np.zeros((2**L, 2**L), dtype=complex)
+    the bond (j, j+1), j 1-based, as a sparse matrix."""
+    H = scipy.sparse.csr_matrix((2**L, 2**L), dtype=complex)
     for i in range(L - 1):
-        H -= kron_chain({i: "Z", i + 1: "Z"}, L)
+        H -= sparse_chain({i: "Z", i + 1: "Z"}, L)
     for i in range(L):
-        H -= kron_chain({i: "X"}, L)
+        H -= sparse_chain({i: "X"}, L)
     if b:
-        H -= kron_chain({L - 1: "Z", 0: "Z"}, L)
+        H -= sparse_chain({L - 1: "Z", 0: "Z"}, L)
     if v == np.inf:
         c1, c2 = 1.0, 1.0
     else:
@@ -45,15 +68,49 @@ def dense_hamiltonian(L, b, v, j):
         c2 = np.sinh(2 * v) / np.cosh(2 * v)
     jd = j - 1
     jp = (jd + 1) % L
-    H += c1 * (kron_chain({jd: "Z", jp: "Z"}, L) + kron_chain({jd: "X"}, L))
-    H += c2 * kron_chain({jd: "Y", jp: "Z"}, L)
+    H += c1 * (sparse_chain({jd: "Z", jp: "Z"}, L) + sparse_chain({jd: "X"}, L))
+    H += c2 * sparse_chain({jd: "Y", jp: "Z"}, L)
     return H
 
 
+def dense_hamiltonian(L, b, v, j):
+    """`sparse_hamiltonian` as a dense array."""
+    return sparse_hamiltonian(L, b, v, j).toarray()
+
+
 def dense_ground(H):
-    """(energy, state, gap) from numpy's dense eigensolver."""
-    w, V = np.linalg.eigh(H)
+    """(energy, state, gap) from the two lowest eigenpairs of LAPACK's dense
+    Hermitian eigensolver."""
+    w, V = scipy.linalg.eigh(H, subset_by_index=(0, 1))
     return w[0], V[:, 0], w[1] - w[0]
+
+
+def sparse_ground(H):
+    """(energy, state, gap) from the two lowest eigenpairs of ARPACK's
+    Lanczos iteration, run to machine precision from a fixed complex start
+    vector; H needs at least 4 rows."""
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
+    w, V = eigsh(H, k=2, which="SA", tol=0, v0=start)
+    lo, hi = np.argsort(w)  # eigsh does not always return them ascending
+    return w[lo], V[:, lo], w[hi] - w[lo]
+
+
+class Ground(NamedTuple):
+    ground_energy: float
+    ground_state: StateVector
+    gap: float
+
+
+def exact_ground(p: ModelParams) -> Ground:
+    """Ground energy, state (up to phase) and gap of the model `p`: Lanczos
+    on the sparse Hamiltonian, or the dense solver for a single site."""
+    H = sparse_hamiltonian(p.L, p.b, p.v, p.j)
+    if H.shape[0] < 4:
+        energy, psi, gap = dense_ground(H.toarray())
+    else:
+        energy, psi, gap = sparse_ground(H)
+    return Ground(float(energy), StateVector(p.L, psi), float(gap))
 
 
 def free_fermion_ground_energy(L):

@@ -22,7 +22,7 @@ from isingdefect.measure import (
     metric_shot,
     sample_pauli_expectation,
 )
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.observables import (
     LoopOperator,
     correlator_profile,
@@ -42,6 +42,7 @@ from isingdefect.statevector import expectation
 from isingdefect.zne import NoiseModel, ZneSchedule, ansatz_circuit, zne_pipeline
 
 import oracles
+from oracles import exact_ground
 
 _OPT_CACHE = {}
 

@@ -20,12 +20,13 @@ from isingdefect.cli import (
     run,
     validate,
 )
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground, ground_energy_gap
+from isingdefect.model import ModelParams, build_hamiltonian, ground_energy_gap
 from isingdefect.observables import correlator_profile
 from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
 
 import oracles
+from oracles import exact_ground
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -228,7 +229,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 def test_package_import_leaves_scipy_unloaded():
     # scipy.linalg would be most of the package's import time; only the QNG
-    # solve, the ring parity sign and exact_ground import it, when they run
+    # solve and the ring parity sign import it, when they run
     code = ("import sys, isingdefect, isingdefect.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _package_python(code) == "[]"
@@ -298,12 +299,13 @@ def test_energy_scan_reaches_the_self_dual_point(tmp_path, capsys):
 def test_runtime_never_builds_a_dense_matrix(tmp_path, monkeypatch):
     import scipy.linalg
 
-    import isingdefect.model as model
+    import isingdefect.paulis as paulis
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense path reached")
 
-    monkeypatch.setattr(model, "dense_matrix", refuse)
+    monkeypatch.setattr(cli, "dense_matrix", refuse)
+    monkeypatch.setattr(paulis, "dense_matrix", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     cfg = ExperimentConfig(kind="energy-scan", L=(11,), b=1, v=(0.0, 1.0))
     assert run(cfg, tmp_path / "scan").results["instances"][0]["points"] == 2
@@ -558,6 +560,8 @@ def test_benchmark_imports_still_resolve():
 # added here.
 STALE_TRACER_BINDINGS = {
     "isingdefect.qng.exact_ground",
+    "isingdefect.model.exact_ground",
+    "isingdefect.model.dense_matrix",
     "isingdefect.zne.rotation_apply_raw",
     "isingdefect.measure.apply_controlled",
     "isingdefect.observables.apply_controlled",

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import exact_ground
 
 from isingdefect.ansatz import AnsatzSpec, init_params, parameter_count, prepare_state
 from isingdefect.measure import (
     ShotPlan,
     _sample_pm1,
     circuit_rng,
-    estimates_to_csv,
     gradient_shot,
     metric_shot,
     sample_pauli_expectation,
 )
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.qng import gradient_exact, metric_exact
 from isingdefect.statevector import StateVector
@@ -247,7 +247,7 @@ def test_sampler_batch_contract():
         (m, 0.0, 0) for m in means]
 
 
-def test_estimate_values_bounded_and_csv_round_trip():
+def test_estimate_values_bounded():
     spec = AnsatzSpec(L=2, N=1)
     params = init_params(spec, seed=10) * 100
     records = []
@@ -256,16 +256,6 @@ def test_estimate_values_bounded_and_csv_round_trip():
     assert len(records) == P + P * (P + 1) // 2
     assert all(abs(r.value) <= 1.0 for r in records)
     assert all(r.std_error <= 1 / np.sqrt(32) + 1e-12 for r in records)
-    csv = estimates_to_csv(records)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "circuit_id,basis,shots,value,std_error"
-    assert len(lines) == len(records) + 1
-    for line, rec in zip(lines[1:], records):
-        cells = line.split(",")
-        assert cells[:3] == [rec.circuit_id, rec.basis, "32"]
-        assert float(cells[3]) == rec.value and float(cells[4]) == rec.std_error
-    assert lines[1].startswith("metric:y:q0,Y,32,")
-    assert lines[P + 1].startswith("metric:x:p0q0,X,32,")
 
 
 def _oracle_case(L, N, boundary, v, seed):

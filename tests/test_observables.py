@@ -6,7 +6,7 @@ import pytest
 
 from isingdefect.ansatz import AnsatzSpec, init_params, prepare_state
 from isingdefect.measure import EstimateRecord, ShotPlan, _sample_pm1
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.observables import (
     BraidOperator,
     LoopOperator,
@@ -25,6 +25,7 @@ from isingdefect.qng import OptimizeOptions, optimize
 from isingdefect.statevector import StateVector, plus_state
 
 import oracles
+from oracles import exact_ground
 
 ANALYTIC = ShotPlan(shots=1, analytic=True)
 

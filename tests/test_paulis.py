@@ -7,7 +7,6 @@ from isingdefect.paulis import (
     PauliString,
     WeightedPauliSum,
     commutator_norm,
-    commute,
     dense_matrix,
     multiply,
 )
@@ -89,14 +88,6 @@ def test_phase_field_and_hermiticity():
     iy = PauliString.from_ops({2: "Y"}, phase=1j)
     assert not iy.is_hermitian()
     assert iy.conjugate().phase == -1j
-
-
-def test_commute_predicate():
-    assert commute(PauliString.from_ops({0: "X"}), PauliString.from_ops({1: "Z"}))
-    assert not commute(PauliString.from_ops({0: "X"}), PauliString.from_ops({0: "Z"}))
-    zz = PauliString.from_ops({0: "Z", 1: "Z"})
-    assert commute(zz, PauliString.from_ops({0: "Z"}))
-    assert not commute(zz, PauliString.from_ops({0: "X"}))
 
 
 def test_sum_merges_terms():

@@ -12,7 +12,7 @@ from isingdefect.ansatz import (
     parameter_count,
     prepare_state,
 )
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.qng import (
     OptimizeOptions,
     OptimizerState,
@@ -26,6 +26,7 @@ from isingdefect.qng import (
 from isingdefect.statevector import expectation, sum_apply_raw
 
 import oracles
+from oracles import exact_ground
 
 
 def random_point(spec, seed, scale=1.2):
@@ -282,9 +283,10 @@ def test_optimize_options_reject_zero_iterations():
 
 def test_qng_step_escalates_and_surfaces_failure():
     state = OptimizerState(params=np.array([0.0]), energy=0.0)
-    # negative-definite metric still solves after escalation
+    # -1 + lam is not positive up to lam = 1 and is 9 at lam = 10: a
+    # one-parameter metric escalates like a larger one
     out = qng_step(state, np.array([1.0]), np.array([[-1.0]]), lam=1e-4)
-    assert np.isfinite(out.params[0])
+    assert abs(out.params[0] - (-0.05 / 9)) < 1e-12
     # the last lambda tried is 1e-4 * 10^6; the error names it
     with pytest.raises(RuntimeError, match=r"lambda=100\b"):
         qng_step(state, np.array([1.0]), np.array([[math.nan]]))

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import exact_ground
 
 from isingdefect.ansatz import AnsatzSpec, init_params
-from isingdefect.model import ModelParams, build_hamiltonian, exact_ground
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.qng import OptimizeOptions, optimize
 from isingdefect import zne
