@@ -92,9 +92,9 @@ def gate_runs(generators) -> tuple:
     "g" for any other generator, one gate per run (keys: the generator)."""
     runs = []
     for p, g in enumerate(generators):
-        if g.e == 0 and g.x == 0:
+        if g.x == 0:
             kind, key = "z", g.z
-        elif g.e == 0 and g.z == 0 and g.x.bit_count() == 1:
+        elif g.z == 0 and g.x.bit_count() == 1:
             kind, key = "x", g.x.bit_length() - 1
         else:
             kind, key = "g", g

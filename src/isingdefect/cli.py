@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzSpec, prepare_state
+from .ansatz import AnsatzSpec, parameter_count, prepare_state
 from .measure import ShotPlan, _sample_pm1
 from .model import (
     ModelParams,
@@ -173,13 +173,23 @@ def validate(config: ExperimentConfig) -> list:
 
     def check(prefix, build, *args, **kwargs):
         try:
-            build(*args, **kwargs)
+            return build(*args, **kwargs)
         except ValueError as exc:
             diags.append(f"{prefix}{exc}")
 
     if not config.L:
         diags.append("L must list at least one chain length")
+    # every L and every v names output files
+    if len(set(config.L)) < len(config.L):
+        diags.append("L lists a chain length more than once")
+    tags = {}
+    for v in config.v:
+        tag = _vtag(v)
+        if tag in tags:
+            diags.append(f"v={tags[tag]!r} and v={v!r} share the file tag v{tag}")
+        tags.setdefault(tag, v)
     circuit_kind = config.kind != "energy-scan"
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     for L in config.L:
         if circuit_kind and L > STATEVECTOR_LIMIT:
             diags.append(f"L={L}: statevector range exceeded (circuit kinds "
@@ -189,7 +199,15 @@ def validate(config: ExperimentConfig) -> list:
         if circuit_kind and config.N is None and L % 2 != 0:
             diags.append(f"L={L} is odd; N defaults to L/2, so set N explicitly")
         if circuit_kind:
-            check(f"L={L}: ", AnsatzSpec, L, L // 2 if config.N is None else config.N)
+            spec = check(f"L={L}: ", AnsatzSpec, L, L // 2 if config.N is None else config.N,
+                         "periodic" if config.b == 1 else "open")
+            if spec and L <= STATEVECTOR_LIMIT:
+                P = parameter_count(spec)
+                need = 16 * (P + 1) * 2**L + 8 * P**2  # derivative batch and metric
+                if need > memory:
+                    diags.append(f"L={L}: optimize needs {need / 2**30:.3g} GiB for "
+                                 f"{P + 1} states and a {P} x {P} metric; physical "
+                                 f"memory is {memory / 2**30:.3g} GiB")
         for v in config.v:
             check(f"L={L}, v={v:g}: ", ModelParams, L=L, b=config.b, v=v, j=config.j)
     check("", OptimizeOptions, eta=config.eta, max_iters=config.max_iters)

@@ -96,7 +96,7 @@ class LoopOperator:
 
 
 def spin_flip_string(L: int) -> PauliString:
-    return PauliString((1 << L) - 1, 0, 0)
+    return PauliString((1 << L) - 1)
 
 
 def sector_projector(L: int) -> WeightedPauliSum:

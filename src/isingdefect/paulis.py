@@ -3,11 +3,11 @@
 Conventions used across the package:
 - sites (qubits) are 0-based; basis index bit j belongs to qubit j, qubit 0 is
   the least significant bit
-- a PauliString is stored as X/Z bitmasks plus a phase exponent e (mod 4) and
-  denotes the operator i^e * X^xmask * Z^zmask; Y_j = i X_j Z_j sets both mask
-  bits and contributes one factor of i
-- phases of strings stay in {1, i, -1, -i} exactly; arbitrary complex weights
-  live on WeightedPauliSum coefficients
+- a PauliString is a hermitian product of the letters X, Y and Z, stored as
+  X/Z site bitmasks: it denotes i^n_y X^xmask Z^zmask, since Y_j = i X_j Z_j
+  sets both mask bits and carries its own factor of i
+- every other scalar, the phases of products included, lives on a
+  WeightedPauliSum coefficient
 """
 from __future__ import annotations
 
@@ -15,38 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LETTER_BITS = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
+_LETTER_BITS = {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 DENSE_LIMIT = 12  # largest register converted to a dense matrix
 
 
-def _phase_exponent(phase):
-    for k, unit in enumerate(_PHASES):
-        if abs(phase - unit) < 1e-12:
-            return k
-    raise ValueError(f"phase must be one of +-1, +-i, got {phase!r}")
-
-
 @dataclass(frozen=True)
 class PauliString:
-    """i^e * X^x * Z^z with x, z site bitmasks and e the phase exponent mod 4."""
+    """The hermitian letters product i^n_y X^x Z^z, x and z site bitmasks."""
 
     x: int = 0
     z: int = 0
-    e: int = 0
 
     @classmethod
-    def from_ops(cls, ops, phase=1.0):
+    def from_ops(cls, ops):
         """Build from a site -> letter map, e.g. {0: 'Z', 3: 'Y'}."""
-        x = z = e = 0
+        x = z = 0
         for site, letter in ops.items():
             if site < 0:
                 raise ValueError(f"negative site {site}")
-            bx, bz, be = _LETTER_BITS[letter]
+            bx, bz = _LETTER_BITS[letter]
             x |= bx << site
             z |= bz << site
-            e += be
-        return cls(x, z, (e + _phase_exponent(phase)) % 4)
+        return cls(x, z)
 
     @property
     def ops(self):
@@ -67,43 +58,32 @@ class PauliString:
         return (self.x & self.z).bit_count()
 
     @property
-    def phase(self):
-        """Phase relative to the letters form (each Y carrying its own i)."""
-        return _PHASES[(self.e - self.n_y) % 4]
-
-    def conjugate(self):
-        """Hermitian conjugate."""
-        e = (-self.e + 2 * (self.x & self.z).bit_count()) % 4
-        return PauliString(self.x, self.z, e)
-
-    def is_hermitian(self):
-        return self.conjugate() == self
+    def e(self):
+        """Exponent of the factor i^e that the Ys add to X^x Z^z (mod 4)."""
+        return self.n_y % 4
 
     def max_site(self):
         support = self.x | self.z
         return support.bit_length() - 1 if support else -1
 
     def __repr__(self):
-        body = " ".join(f"{s}:{p}" for s, p in self.ops.items()) or "I"
-        ph = self.phase
-        pre = {1.0 + 0j: "", 1j: "i*", -1.0 + 0j: "-", -1j: "-i*"}[ph]
-        return f"{pre}{body}"
+        return " ".join(f"{s}:{p}" for s, p in self.ops.items()) or "I"
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a*b; the phase picks up (-1) per Z-past-X crossing."""
-    e = (a.e + b.e + 2 * (a.z & b.x).bit_count()) % 4
-    return PauliString(a.x ^ b.x, a.z ^ b.z, e)
+def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """(phase, string) with a*b = phase * string exactly: X^x Z^z products
+    pick up (-1) per Z-past-X crossing, and the Ys' factors of i settle the
+    rest, so phase is one of +-1, +-i."""
+    string = PauliString(a.x ^ b.x, a.z ^ b.z)
+    return _PHASES[(a.e + b.e + 2 * (a.z & b.x).bit_count() - string.e) % 4], string
 
 
 class WeightedPauliSum:
     """Linear combination of Pauli strings with complex coefficients.
 
-    Terms are keyed by (x, z) masks after folding each string's phase into the
-    coefficient, so no two stored terms share a string (canonical merge).
-    Coefficients are taken relative to the letters form of the string (the
-    hermitian convention where Y carries its own i), which makes hermiticity
-    equivalent to all coefficients being real.
+    Terms are keyed by their string, so no two stored terms share one
+    (canonical merge). Strings are hermitian, which makes hermiticity of the
+    sum equivalent to all coefficients being real.
     """
 
     def __init__(self, n_qubits, terms=None):
@@ -120,17 +100,15 @@ class WeightedPauliSum:
         """Accumulate coeff * string, merging into the canonical term map."""
         if string.max_site() >= self.n_qubits:
             raise ValueError("string exceeds register size")
-        key = (string.x, string.z)
-        folded = coeff * _PHASES[(string.e - string.n_y) % 4]
-        self._terms[key] = self._terms.get(key, 0.0 + 0.0j) + folded
+        self._terms[string] = self._terms.get(string, 0.0 + 0.0j) + coeff
         self._grouped = None
         return self
 
     def grouped(self):
         """(diag, xsites, rest): the real 2^n vector of every real-weighted
         Z-only term times its parity signs, (site, real coefficient) per
-        single-site X term, and every other (coefficient, letters-form
-        string) term. Built on first use and kept until the next `add`."""
+        single-site X term, and every other (coefficient, string) term.
+        Built on first use and kept until the next `add`."""
         if self._grouped is None:
             diag = np.zeros(1 << self.n_qubits)
             xsites, rest = [], []
@@ -146,9 +124,9 @@ class WeightedPauliSum:
         return self._grouped
 
     def terms(self):
-        """Yield (coefficient, letters-form PauliString) pairs."""
-        for (x, z), coeff in self._terms.items():
-            yield coeff, PauliString(x, z, (x & z).bit_count() % 4)
+        """Yield (coefficient, PauliString) pairs."""
+        for string, coeff in self._terms.items():
+            yield coeff, string
 
     def __len__(self):
         return len(self._terms)
@@ -181,13 +159,14 @@ class WeightedPauliSum:
         out = WeightedPauliSum(self.n_qubits)
         for ca, sa in self.terms():
             for cb, sb in other.terms():
-                out.add(ca * cb, multiply(sa, sb))
+                phase, string = multiply(sa, sb)
+                out.add(ca * cb * phase, string)
         return out
 
     def conjugate_transpose(self):
         out = WeightedPauliSum(self.n_qubits)
         for coeff, string in self.terms():
-            out.add(coeff.conjugate(), string.conjugate())
+            out.add(coeff.conjugate(), string)
         return out
 
     def is_hermitian(self, tol=1e-12):
@@ -224,7 +203,7 @@ def dense_matrix(H: WeightedPauliSum):
     for coeff, string in H.terms():
         signs = parity_signs(string.z, dim)
         rows = (idx ^ np.uint64(string.x)).astype(np.int64)
-        weight = coeff * _PHASES[string.n_y % 4]
+        weight = coeff * _PHASES[string.e]
         mat[rows, cols] += (weight.real if real else weight) * signs
     return mat
 

@@ -33,7 +33,7 @@ from .ansatz import (
     prepare_state,
 )
 from .model import ModelParams, build_hamiltonian, ground_energy_gap
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import WeightedPauliSum
 from .statevector import (
     RotationGate,
     StateVector,
@@ -49,11 +49,6 @@ LAM = 1e-4  # initial metric regularization
 GRAD_TOL = 1e-6  # gradient norm that counts as converged
 
 
-def minus_i_times(g: PauliString) -> PauliString:
-    """-i * g, still a single unit-modulus string."""
-    return PauliString(g.x, g.z, (g.e + 3) % 4)
-
-
 def derivative_state(spec: AnsatzSpec, params, p: int) -> StateVector:
     """U^p_> (-i O_p) U^p_<= |psi_0>; unit norm because O_p is unitary."""
     P = parameter_count(spec)
@@ -64,7 +59,7 @@ def derivative_state(spec: AnsatzSpec, params, p: int) -> StateVector:
     amps = state.amplitudes
     for k in range(p + 1):
         rotation_apply_raw(amps, RotationGate(gens[k], float(params[k])))
-    amps = pauli_apply_raw(amps, minus_i_times(gens[p]))
+    amps = -1j * pauli_apply_raw(amps, gens[p])
     for k in range(p + 1, P):
         rotation_apply_raw(amps, RotationGate(gens[k], float(params[k])))
     return StateVector(spec.L, amps)
@@ -170,7 +165,6 @@ class OptimizeOptions:
     max_iters: int = 500
     seed: int = 0
     rel_tol: float = 1e-3
-    plain_gradient: bool = False  # identity metric, for head-to-head baselines
 
     def __post_init__(self):
         if not 0 < self.eta < math.inf:  # NaN fails both comparisons
@@ -207,11 +201,9 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     def energy_fn(params):
         return expectation(prepare_state(spec, params), H)
 
-    P = parameter_count(spec)
     state = OptimizerState(
         params=init_params(spec, opts.seed), learning_rate=opts.eta
     )
-    identity = np.eye(P) if opts.plain_gradient else None
     trace = []
     while True:
         psi, D = derivative_sweep(spec, state.params)
@@ -231,7 +223,6 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         elif len(trace) == opts.max_iters:
             state.stop_reason = "max_iters"
         else:
-            metric = identity if identity is not None else _metric(D, w)
-            state = qng_step(state, grad, metric, energy_fn=energy_fn)
+            state = qng_step(state, grad, _metric(D, w), energy_fn=energy_fn)
         if state.stop_reason:
             return state, trace

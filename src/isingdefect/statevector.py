@@ -3,7 +3,8 @@
 Amplitudes are flat complex128 arrays with qubit 0 as the least significant
 bit of the basis index. Rotations use the convention R_O(phi) = exp(-i phi O)
 with no half-angle factor, so d/dphi R = (-iO) R and derivative insertions
-are exactly -iO.
+are exactly -iO. Every generator is a PauliString, hermitian by
+construction, so every rotation is unitary.
 
 The public API reads StateVector values. The _raw helpers work on arrays
 whose last axis is the Hilbert dimension (rotations in place), so a
@@ -34,7 +35,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class RotationGate:
-    """exp(-i * angle * generator); the generator must be hermitian."""
+    """exp(-i * angle * generator) for a (hermitian) Pauli string; a sign
+    on the generator is a sign on the angle."""
 
     generator: PauliString
     angle: float
@@ -74,7 +76,8 @@ def _pair_view(batch: np.ndarray, site: int, dim: int) -> np.ndarray:
 
 
 def pauli_apply_raw(batch: np.ndarray, string: PauliString) -> np.ndarray:
-    """Return string applied to every state along the last axis (new array)."""
+    """Return string = i^e X^x Z^z applied to every state along the last
+    axis (new array)."""
     dim = batch.shape[-1]
     out = np.take(batch, _perm(string.x, dim), axis=-1) if string.x else batch.copy()
     if string.z:
@@ -88,10 +91,7 @@ def pauli_apply_raw(batch: np.ndarray, string: PauliString) -> np.ndarray:
 
 def rotation_apply_raw(batch: np.ndarray, gate: RotationGate) -> None:
     """In-place exp(-i angle G) on every state along the last axis."""
-    g = gate.generator
-    if not g.is_hermitian():
-        raise ValueError("rotation generator must be hermitian")
-    rotated = pauli_apply_raw(batch, g)
+    rotated = pauli_apply_raw(batch, gate.generator)
     batch *= np.cos(gate.angle)
     batch += (-1j * np.sin(gate.angle)) * rotated
 
@@ -139,9 +139,7 @@ def expectation(state: StateVector, obs: WeightedPauliSum) -> float:
 
 
 def pauli_expectation(state: StateVector, string: PauliString) -> float:
-    """<psi| string |psi> for a single hermitian string."""
-    if not string.is_hermitian():
-        raise ValueError("string must be hermitian")
+    """<psi| string |psi> for a single Pauli string."""
     if string.max_site() >= state.n_qubits:
         raise ValueError("string site out of range")
     val = np.vdot(state.amplitudes, pauli_apply_raw(state.amplitudes, string))

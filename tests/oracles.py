@@ -308,7 +308,7 @@ def _dense_gates(circuit, p2, p1):
     for g in circuit.gates:
         gen = g.generator
         p = p2 if len(gen.ops) == 2 else p1
-        U = dense_rotation(gen.phase * kron_chain(gen.ops, L), g.angle)
+        U = dense_rotation(kron_chain(gen.ops, L), g.angle)
         out.append((U, p, _gate_errors(gen, L) if p > 0 else None))
     return out
 

@@ -45,20 +45,19 @@ def test_layer_ordering():
 
 
 def test_gate_runs_merge_commuting_gates():
-    ops = [({0: "Z", 1: "Z"}, 1), ({2: "Z"}, 1), ({1: "X"}, 1), ({2: "X"}, 1),
-           ({1: "X"}, 1), ({0: "Y"}, 1), ({0: "X", 1: "X"}, 1), ({0: "Z"}, -1),
-           ({0: "Z"}, 1), ({1: "Z", 2: "Z"}, 1), ({0: "X"}, 1)]
-    gens = [PauliString.from_ops(o, phase) for o, phase in ops]
+    ops = [{0: "Z", 1: "Z"}, {2: "Z"}, {1: "X"}, {2: "X"}, {1: "X"}, {0: "Y"},
+           {0: "X", 1: "X"}, {0: "Z"}, {1: "Z", 2: "Z"}, {0: "X"}]
+    gens = [PauliString.from_ops(o) for o in ops]
     runs = gate_runs(gens)
-    # Z and ZZ gates merge; X gates merge until a site repeats; a Y, an XX
-    # and a negated Z are each a run of their own
+    # Z and ZZ gates merge; X gates merge until a site repeats; a Y and an
+    # XX are each a run of their own
     assert [run[:3] for run in runs] == [
         ("z", 0, 2), ("x", 2, 4), ("x", 4, 5), ("g", 5, 6), ("g", 6, 7),
-        ("g", 7, 8), ("z", 8, 10), ("x", 10, 11)]
+        ("z", 7, 9), ("x", 9, 10)]
     assert runs[0][3] == (0b011, 0b100)
     assert runs[1][3] == (1, 2) and runs[2][3] == (1,)
-    assert [run[3] for run in runs[3:6]] == [(gens[5],), (gens[6],), (gens[7],)]
-    assert runs[6][3] == (0b001, 0b110)
+    assert [run[3] for run in runs[3:5]] == [(gens[5],), (gens[6],)]
+    assert runs[5][3] == (0b001, 0b110)
 
 
 def test_open_chain_drops_wrap_bond():

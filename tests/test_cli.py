@@ -115,6 +115,14 @@ def test_validate_flags_each_problem():
     assert any("eta must be positive and finite" in d for d in diags)
     diags = validate(ExperimentConfig(kind="optimize", L=(4,), max_iters=0))
     assert any("max_iters must be at least 1" in d for d in diags)
+    # two instances would write one file
+    diags = validate(ExperimentConfig(kind="optimize", L=(4, 4)))
+    assert any("L lists a chain length more than once" in d for d in diags)
+    diags = validate(ExperimentConfig(kind="optimize", L=(4,), v=(0.1234567, 0.1234568)))
+    assert any("share the file tag v0p123457" in d for d in diags)
+    # P = 41e6 parameters: the metric alone is 1.3e16 bytes
+    diags = validate(ExperimentConfig(kind="optimize", L=(14,), N=10**6))
+    assert any("L=14: optimize needs" in d and "physical memory" in d for d in diags)
 
 
 def test_mean_se_is_the_standard_error_of_the_mean():
@@ -586,3 +594,29 @@ def test_stale_tracer_bindings_are_listed():
     stale = {f"{module}.{attr}" for module, attr in bindings
              if not hasattr(importlib.import_module(module), attr)}
     assert stale == STALE_TRACER_BINDINGS
+
+
+def test_tracer_sorts_package_rotations_by_kind(monkeypatch):
+    # the traced benchmark sorts each rotation by its generator's masks and
+    # `e`; a change to PauliString that broke that read would go unnoticed
+    # until a `--trace 1` run
+    import importlib.util
+
+    from isingdefect.ansatz import gates
+    from isingdefect.paulis import PauliString
+    from isingdefect.statevector import RotationGate
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    batch = np.zeros((2, 8), dtype=np.complex128)
+    zz, x, z = (gates(AnsatzSpec(L=3, N=1), np.full(8, 0.1))[k] for k in (0, 2, 5))
+    assert (zz.generator.ops, x.generator.ops, z.generator.ops) == (
+        {0: "Z", 1: "Z"}, {0: "X"}, {0: "Z"})
+    y = RotationGate(PauliString.from_ops({1: "Y"}), 0.1)
+    xx = RotationGate(PauliString.from_ops({0: "X", 2: "X"}), 0.1)
+    kinds = [tracer._rotation_info((batch, gate), None) for gate in (z, zz, x, y, xx)]
+    assert kinds == [(tracer.DIAG, 16), (tracer.DIAG, 16), (tracer.XSITE, 16),
+                     (tracer.GENERIC, 16), (tracer.GENERIC, 16)]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -28,23 +29,22 @@ def dense(string, n):
 
 def test_multiply_involution():
     x0 = PauliString.from_ops({0: "X"})
-    assert multiply(x0, x0) == PauliString()
-    assert PauliString().phase == 1.0
+    assert multiply(x0, x0) == (1.0, PauliString())
 
 
 def test_multiply_xz_gives_minus_i_y():
     x0 = PauliString.from_ops({0: "X"})
     z0 = PauliString.from_ops({0: "Z"})
-    prod = multiply(x0, z0)
+    phase, prod = multiply(x0, z0)
     assert prod.ops == {0: "Y"}
-    assert prod.phase == -1j
+    assert phase == -1j
 
 
 def test_multiply_two_qubit_example_against_matrix():
     a = PauliString.from_ops({0: "Z", 1: "Z"})
     b = PauliString.from_ops({1: "X"})
-    prod = multiply(a, b)
-    np.testing.assert_allclose(dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12)
+    phase, prod = multiply(a, b)
+    np.testing.assert_allclose(phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12)
     assert prod.ops == {0: "Z", 1: "Y"}
 
 
@@ -53,9 +53,10 @@ def test_multiply_exhaustive_two_qubits():
     for la, lb in itertools.product(pairs, repeat=2):
         a = string_from_letters(la)
         b = string_from_letters(lb)
-        prod = multiply(a, b)
+        phase, prod = multiply(a, b)
+        assert phase in (1, 1j, -1, -1j)
         np.testing.assert_allclose(
-            dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12,
+            phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12,
             err_msg=f"{la} * {lb}",
         )
 
@@ -68,33 +69,49 @@ def test_multiply_associative_random():
             ops = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=4)) if k}
             strs.append(PauliString.from_ops(ops))
         a, b, c = strs
-        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        ab_phase, ab = multiply(a, b)
+        bc_phase, bc = multiply(b, c)
+        left_phase, left = multiply(ab, c)
+        right_phase, right = multiply(a, bc)
+        assert left == right
+        assert ab_phase * left_phase == bc_phase * right_phase
 
 
 def test_conjugate_of_product_is_reversed_product_of_conjugates():
+    # strings are hermitian, so (ab)^dagger = b^dagger a^dagger = ba:
+    # the same string with the conjugate phase
     rng = np.random.default_rng(5)
     for _ in range(200):
         ops_a = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=3)) if k}
         ops_b = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=3)) if k}
-        a = PauliString.from_ops(ops_a, phase=1j)
-        b = PauliString.from_ops(ops_b, phase=-1.0)
-        assert multiply(a, b).conjugate() == multiply(b.conjugate(), a.conjugate())
+        a = PauliString.from_ops(ops_a)
+        b = PauliString.from_ops(ops_b)
+        ab_phase, ab = multiply(a, b)
+        ba_phase, ba = multiply(b, a)
+        assert ba == ab
+        assert ba_phase == ab_phase.conjugate()
 
 
 def test_phase_field_and_hermiticity():
+    # a string is its two masks and is hermitian; a phase lives on a
+    # coefficient
+    assert [f.name for f in dataclasses.fields(PauliString)] == ["x", "z"]
     y = PauliString.from_ops({2: "Y"})
-    assert y.phase == 1.0
-    assert y.is_hermitian()
-    iy = PauliString.from_ops({2: "Y"}, phase=1j)
+    assert (y.x, y.z, y.e) == (0b100, 0b100, 1)
+    np.testing.assert_array_equal(dense(y, 3), dense(y, 3).conj().T)
+    assert WeightedPauliSum(3).add(1.0, y).is_hermitian()
+    iy = WeightedPauliSum(3).add(1j, y)
     assert not iy.is_hermitian()
-    assert iy.conjugate().phase == -1j
+    assert list(iy.conjugate_transpose().terms()) == [(-1j, y)]
 
 
 def test_sum_merges_terms():
     s = WeightedPauliSum(2)
     s.add(0.5, PauliString.from_ops({0: "X"}))
     s.add(0.25, PauliString.from_ops({0: "X"}))
-    s.add(1.0, PauliString.from_ops({0: "X"}, phase=-1.0))
+    # Y Z = i X: the product's phase folds into the coefficient, i * i = -1
+    phase, string = multiply(PauliString.from_ops({0: "Y"}), PauliString.from_ops({0: "Z"}))
+    s.add(1j * phase, string)
     assert len(s) == 1
     ((coeff, string),) = list(s.terms())
     assert coeff == pytest.approx(-0.25)
@@ -142,8 +159,9 @@ def test_string_to_matrix_consistency_exhaustive():
     for la in itertools.product(LETTERS, repeat=2):
         for lb in itertools.product(LETTERS, repeat=2):
             a, b = string_from_letters(la), string_from_letters(lb)
+            phase, prod = multiply(a, b)
             np.testing.assert_allclose(
-                dense(multiply(a, b), 2), dense(a, 2) @ dense(b, 2), atol=1e-12
+                phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12
             )
 
 

@@ -89,17 +89,17 @@ def test_random_gates_match_dense_matrices():
         out = apply_rotation(state, RotationGate(string, angle))
         P = kron_chain(string.ops, n)
         np.testing.assert_allclose(out.amplitudes, dense_rotation(P, angle) @ amps, atol=1e-12)
-    # negated generators (phase -1) on a (3, 2^n) batch, with a diagonal and
-    # a single-site X string among them
+    # negated generators, as negated angles, on a (3, 2^n) batch, with a
+    # diagonal and a single-site X string among them
     strings = [random_string(rng, n) for _ in range(20)]
     strings += [PauliString.from_ops({0: "Z", 3: "Z"}), PauliString.from_ops({2: "X"})]
     for string in strings:
         angle = rng.uniform(-np.pi, np.pi)
         batch = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
-        for gen, P in ((string, kron_chain(string.ops, n)),
-                       (PauliString.from_ops(string.ops, -1), -kron_chain(string.ops, n))):
+        for sign in (1, -1):
+            P = sign * kron_chain(string.ops, n)
             out = batch.copy()
-            rotation_apply_raw(out, RotationGate(gen, angle))
+            rotation_apply_raw(out, RotationGate(string, sign * angle))
             np.testing.assert_allclose(out, batch @ dense_rotation(P, angle).T, atol=1e-12)
 
 
