@@ -60,7 +60,9 @@ from .zne import NoiseModel, ZneSchedule, ansatz_circuit, zne_pipeline
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
 STATEVECTOR_LIMIT = 14  # circuit kinds hold 2^L amplitudes per derivative state
-SCAN_LIMIT = 1000  # energy-scan diagonalizes 2L x 2L matrices: 64 MB, ~8 s a point
+# energy-scan reduces one real 2L x 2L matrix per parity sector to tridiagonal
+# form, for its levels and parity at once: O(L^3) for a ring
+SCAN_LIMIT = 1000
 
 
 @dataclass(frozen=True)

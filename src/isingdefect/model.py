@@ -13,8 +13,11 @@ subtracts 1 internally. For b = 1 the wrap bond j = L is permitted.
 Energies are in units of the bulk couplings (J = h = 1), dimensionless.
 
 Every term of H(v) is a Majorana bilinear under Jordan-Wigner, so the ground
-energy and gap follow in O(L^3) from a 2L x 2L matrix (`ground_energy_gap`),
-with no 2^L x 2^L matrix built.
+energy and gap follow from a real 2L x 2L matrix per fermion-parity sector
+(`ground_energy_gap`), with no 2^L x 2^L matrix built. One real Householder
+reduction of each matrix to tridiagonal form gives both the mode energies
+and the sector's vacuum parity: O(L^3) for a ring, whose wrap bond fills
+the matrix in, and much less for a banded open chain.
 """
 from __future__ import annotations
 
@@ -93,48 +96,52 @@ def _majorana_matrix(p: ModelParams, parity: int) -> np.ndarray:
     string.
     """
     L = p.L
-    A = np.zeros((2 * L, 2 * L))
-
-    def add(w, m, n):  # w * i c_m c_n
-        A[m, n] += 2.0 * w
-        A[n, m] -= 2.0 * w
-
-    for i in range(L):
-        add(-1.0, 2 * i, 2 * i + 1)  # -X_i
-    for i in range(L - 1):
-        add(-1.0, 2 * i + 1, 2 * i + 2)  # -Z_i Z_{i+1}
+    # each term w * i c_m c_n puts 2w at (m, n); A is U - U^T
+    U = np.zeros((2 * L, 2 * L))
+    k = np.arange(2 * L - 1)
+    U[k, k + 1] = -2.0  # -X_i on even k, -Z_i Z_{i+1} on odd k
     if p.b == 1 and L > 1:
-        add(parity, 2 * L - 1, 0)  # -Z_L Z_1 = P i b_L a_1
+        U[2 * L - 1, 0] = 2.0 * parity  # -Z_L Z_1 = P i b_L a_1
     c1, c2 = defect_coefficients(p.v)
     if c1 != 0.0 or c2 != 0.0:
         jd = p.j - 1
         jp = (jd + 1) % L
         s = -parity if jp == 0 else 1.0
-        add(c1, 2 * jd, 2 * jd + 1)
-        add(s * c1, 2 * jd + 1, 2 * jp)
-        add(-s * c2, 2 * jd, 2 * jp)
-    return A
+        U[2 * jd, 2 * jd + 1] += 2.0 * c1
+        U[2 * jd + 1, 2 * jp] += 2.0 * (s * c1)
+        U[2 * jd, 2 * jp] += 2.0 * (-s * c2)
+    return U - U.T
 
 
 def _lowest_levels(A: np.ndarray, parity: int | None) -> tuple[float, float]:
     """Two lowest levels of (i/4) c^T A c among states of the given parity
-    (any parity when None).
+    (any parity when None), from one real Householder reduction of A.
 
-    The levels are E_vac plus sums of mode energies eps_k, and the Fock
-    vacuum has parity (-1)^L sign Pf(A). Pf(A) is det(Q) Pf(T) for the
-    tridiagonal Hessenberg form A = Q T Q^T; Q is a product of Householder
-    reflectors, each of determinant -1 unless its tau is 0. A zero mode
-    makes Pf(A) = 0, and then both branches below give the same levels.
+    LAPACK dgehrd brings A to its Hessenberg form A = Q T Q^T, which for an
+    antisymmetric A is tridiagonal with zero diagonal. The levels are E_vac
+    plus sums of mode energies eps_k, the positive eigenvalues of iT. The
+    diagonal unitary diag(i^k) maps iT to a real symmetric tridiagonal
+    matrix with zero diagonal and off-diagonal -T[k, k+1]; its spectrum does
+    not depend on the signs of the off-diagonal, and dsterf returns it in
+    O(L^2). The Fock vacuum has parity (-1)^L sign Pf(A), and Pf(A) is
+    det(Q) Pf(T): Q is a product of Householder reflectors, each of
+    determinant -1 unless its tau is 0, and Pf(T) is the product of T[0, 1],
+    T[2, 3], ... A zero mode makes Pf(A) = 0, and then both branches below
+    give the same levels.
     """
+    from scipy.linalg.lapack import dgehrd, dsterf
+
     n = A.shape[0]
-    eps = np.linalg.eigvalsh(1j * A)[n // 2:]
+    T, tau, _ = dgehrd(A)
+    t = np.diag(T, 1)
+    eps, info = dsterf(np.zeros(n), t)
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf left {info} off-diagonal entries unconverged")
+    eps = eps[n // 2:]
     e_vac = -0.5 * float(eps.sum())
     if parity is None:
         return e_vac, e_vac + eps[0]
-    import scipy.linalg
-
-    T, tau, _ = scipy.linalg.lapack.dgehrd(A)
-    pf_sign = (-1) ** np.count_nonzero(tau) * np.prod(np.sign(np.diag(T, 1)[::2]))
+    pf_sign = (-1) ** np.count_nonzero(tau) * np.prod(np.sign(t[::2]))
     if (-1) ** (n // 2) * pf_sign == parity:
         return e_vac, e_vac + eps[0] + eps[1]
     return e_vac + eps[0], e_vac + eps[1]

@@ -129,6 +129,54 @@ def free_fermion_ground_energy(L):
     return -np.sum(eps)
 
 
+def pfaffian(A):
+    """Pf(A) of a real antisymmetric A by Parlett-Reid elimination: pivot the
+    largest entry of column k below row k into row k+1, then clear column k
+    with a congruence, so Pf(A) is the product of the pivots A[k, k+1] and
+    one -1 per row swap."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    if n % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        r = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
+        if r != k + 1:
+            A[[k + 1, r]] = A[[r, k + 1]]
+            A[:, [k + 1, r]] = A[:, [r, k + 1]]
+            pf = -pf
+        pivot = A[k, k + 1]
+        if pivot == 0.0:
+            return 0.0
+        pf *= pivot
+        tau = A[k, k + 2:] / pivot
+        col = A[k + 2:, k + 1]
+        A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
+
+
+def majorana_levels(A, parity=None):
+    """((lowest, next) level, vacuum parity) of the fermion bilinear
+    (i/4) c^T A c, A real antisymmetric 2L x 2L, among the states of the
+    given fermion parity (any parity when None).
+
+    The mode energies eps_k are the positive eigenvalues of the hermitian iA,
+    from numpy's complex eigensolver; every level is E_vac = -sum(eps)/2 plus
+    a sum of eps_k, and each mode flips the parity of the Fock vacuum,
+    (-1)^L sign Pf(A) (Pf from `pfaffian`)."""
+    n = A.shape[0]
+    eps = np.linalg.eigvalsh(1j * A)[n // 2:]
+    vac = -0.5 * eps.sum()
+    vac_parity = (-1) ** (n // 2) * np.sign(pfaffian(A))
+    if parity is None:
+        levels = (vac, vac + eps[0])
+    elif vac_parity == parity:
+        levels = (vac, vac + eps[0] + eps[1])
+    else:
+        levels = (vac + eps[0], vac + eps[1])
+    return levels, vac_parity
+
+
 def free_fermion_zz_profile(L):
     """Open critical chain (b=0, v=0) profile [<Z_1 Z_r> for r = 2..L] from
     Majorana two-point functions, with no state vector.

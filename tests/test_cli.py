@@ -237,7 +237,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 def test_package_import_leaves_scipy_unloaded():
     # scipy.linalg would be most of the package's import time; only the QNG
-    # solve and the ring parity sign import it, when they run
+    # solve and the free-fermion reduction import it, when they run
     code = ("import sys, isingdefect, isingdefect.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _package_python(code) == "[]"

@@ -7,6 +7,8 @@ import pytest
 
 from isingdefect.model import (
     ModelParams,
+    _lowest_levels,
+    _majorana_matrix,
     build_hamiltonian,
     defect_coefficients,
     energy_scan,
@@ -143,6 +145,81 @@ def test_free_fermion_energy_gap_matches_dense_oracle(L, b):
             energy, gap = ground_energy_gap(ModelParams(L=L, b=b, v=v, j=j))
             assert energy == pytest.approx(w[0], abs=1e-10), (v, j)
             assert gap == pytest.approx(w[1] - w[0], abs=1e-10), (v, j)
+
+
+def _majorana_matrix_by_terms(p, parity):
+    """`_majorana_matrix` as a per-term loop: the reference its array writes
+    must match bit for bit."""
+    L = p.L
+    A = np.zeros((2 * L, 2 * L))
+
+    def add(w, m, n):  # w * i c_m c_n
+        A[m, n] += 2.0 * w
+        A[n, m] -= 2.0 * w
+
+    for i in range(L):
+        add(-1.0, 2 * i, 2 * i + 1)
+    for i in range(L - 1):
+        add(-1.0, 2 * i + 1, 2 * i + 2)
+    if p.b == 1 and L > 1:
+        add(parity, 2 * L - 1, 0)
+    c1, c2 = defect_coefficients(p.v)
+    if c1 != 0.0 or c2 != 0.0:
+        jd = p.j - 1
+        jp = (jd + 1) % L
+        s = -parity if jp == 0 else 1.0
+        add(c1, 2 * jd, 2 * jd + 1)
+        add(s * c1, 2 * jd + 1, 2 * jp)
+        add(-s * c2, 2 * jd, 2 * jp)
+    return A
+
+
+def test_majorana_matrix_matches_term_loop():
+    # the same sums in the same order: equal to the last bit
+    for L in range(1, 9):
+        for b in (0, 1):
+            j_max = L if b else max(1, L - 1)
+            for v in ([0.0] if L == 1 else [0.0, -0.4, 0.7, 4.0, math.inf]):
+                for j in sorted({1, max(1, L // 2), j_max}):
+                    p = ModelParams(L=L, b=b, v=v, j=j)
+                    for parity in (1, -1):
+                        got = _majorana_matrix(p, parity)
+                        want = _majorana_matrix_by_terms(p, parity)
+                        assert got.tobytes() == want.tobytes(), (L, b, v, j, parity)
+
+
+@pytest.mark.parametrize("L", [31, 64, 128])
+def test_free_fermion_energy_gap_matches_majorana_oracle(L):
+    # past the dense oracle's reach: the same Majorana matrices, solved by a
+    # complex eigensolver and a Parlett-Reid Pfaffian in place of one real
+    # Householder reduction
+    branches = set()
+    for b in (0, 1):
+        j_max = L if b else L - 1
+        for v in (0.0, 0.7, 4.0, math.inf):
+            for j in sorted({1, L // 2, j_max}):
+                p = ModelParams(L=L, b=b, v=v, j=j)
+                if b == 0:
+                    levels, _ = oracles.majorana_levels(_majorana_matrix(p, 1))
+                else:
+                    levels = []
+                    for parity in (1, -1):
+                        A = _majorana_matrix(p, parity)
+                        # the matrix's own sector, and the other one; a ring
+                        # sector's vacuum lies outside it only at a zero mode
+                        for s in (1, -1):
+                            want, vac_parity = oracles.majorana_levels(A, s)
+                            got = _lowest_levels(A, s)
+                            assert got == pytest.approx(want, rel=1e-12, abs=0), (v, j, s)
+                            if vac_parity != 0:  # Pf(A) != 0: the branch is sharp
+                                branches.add(vac_parity == s)
+                            if s == parity:
+                                levels += want
+                    levels.sort()
+                energy, gap = ground_energy_gap(p)
+                assert energy == pytest.approx(levels[0], rel=1e-12, abs=0), (b, v, j)
+                assert gap == pytest.approx(levels[1] - levels[0], abs=1e-10), (b, v, j)
+    assert branches == {True, False}  # the vacuum in and out of the sector
 
 
 def test_free_fermion_energy_gap_single_site():
