@@ -56,7 +56,7 @@ from .observables import (
 from .paulis import DENSE_LIMIT, dense_matrix
 from .qng import OptimizeOptions, optimize, trace_to_csv
 from .statevector import pauli_expectation
-from .zne import NoiseModel, ZneSchedule, ansatz_circuit, zne_pipeline
+from .zne import NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, zne_pipeline
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
 STATEVECTOR_LIMIT = 14  # circuit kinds hold 2^L amplitudes per derivative state
@@ -69,20 +69,20 @@ SCAN_LIMIT = 1000
 class ExperimentConfig:
     kind: str
     L: tuple = ()
-    b: int = 0
-    v: tuple = (0.0,)
+    b: int = ModelParams.b
+    v: tuple = (ModelParams.v,)
     j: int | None = None
     N: int | None = None
-    eta: float = 0.05
-    max_iters: int = 500
+    eta: float = OptimizeOptions.eta
+    max_iters: int = OptimizeOptions.max_iters
     runs: int | None = None
     shots: int | None = None
-    analytic: bool = False
-    seed: int = 0
-    p2: float = 0.01
-    p1: float = 0.0
+    analytic: bool = ShotPlan.analytic
+    seed: int = OptimizeOptions.seed
+    p2: float = NoiseModel.p2
+    p1: float = NoiseModel.p1
     factors: tuple | None = None
-    degree: int = 2
+    degree: int = ZneSchedule.degree
     trajectories: int = 10_000
 
     def default_runs(self) -> int:
@@ -93,7 +93,7 @@ class ExperimentConfig:
     def default_shots(self) -> int:
         if self.shots is not None:
             return self.shots
-        return 8192 if self.kind == "correlator" else 1024
+        return 8192 if self.kind == "correlator" else ShotPlan.shots
 
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False,
@@ -181,16 +181,18 @@ def validate(config: ExperimentConfig) -> list:
 
     if not config.L:
         diags.append("L must list at least one chain length")
-    # every L and every v names output files
+    # every L names output files, and so does every v of a circuit kind
     if len(set(config.L)) < len(config.L):
         diags.append("L lists a chain length more than once")
-    tags = {}
-    for v in config.v:
-        tag = _vtag(v)
-        if tag in tags:
-            diags.append(f"v={tags[tag]!r} and v={v!r} share the file tag v{tag}")
-        tags.setdefault(tag, v)
     circuit_kind = config.kind != "energy-scan"
+    if circuit_kind:
+        diags += _vtag_collisions(config.v)
+    schedule = None
+    if config.kind == "zne":
+        if config.trajectories < 1:
+            diags.append("trajectories must be positive")
+        check("", NoiseModel, p2=config.p2, p1=config.p1)
+        schedule = check("", ZneSchedule, factors=config.factors or (), degree=config.degree)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     for L in config.L:
         if circuit_kind and L > STATEVECTOR_LIMIT:
@@ -203,6 +205,9 @@ def validate(config: ExperimentConfig) -> list:
         if circuit_kind:
             spec = check(f"L={L}: ", AnsatzSpec, L, L // 2 if config.N is None else config.N,
                          "periodic" if config.b == 1 else "open")
+            if spec and schedule:  # the fit needs enough distinct folded factors
+                check(f"L={L}: ", fold_schedule,
+                      ansatz_circuit(spec, np.zeros(parameter_count(spec))), schedule)
             if spec and L <= STATEVECTOR_LIMIT:
                 P = parameter_count(spec)
                 need = 16 * (P + 1) * 2**L + 8 * P**2  # derivative batch and metric
@@ -216,11 +221,6 @@ def validate(config: ExperimentConfig) -> list:
     if config.default_runs() < 1:
         diags.append("runs must be positive")
     check("", ShotPlan, shots=config.default_shots(), seed=config.seed)
-    if config.kind == "zne":
-        if config.trajectories < 1:
-            diags.append("trajectories must be positive")
-        check("", NoiseModel, p2=config.p2, p1=config.p1)
-        check("", ZneSchedule, factors=config.factors or (), degree=config.degree)
     return diags
 
 
@@ -240,6 +240,17 @@ class RunRecord:
 
 def _vtag(v: float) -> str:
     return f"{v:g}".replace(".", "p").replace("-", "m")
+
+
+def _vtag_collisions(vs) -> list:
+    """One diagnostic per v whose file tag an earlier v already has."""
+    tags, diags = {}, []
+    for v in vs:
+        tag = _vtag(v)
+        if tag in tags:
+            diags.append(f"v={tags[tag]!r} and v={v!r} share the file tag v{tag}")
+        tags.setdefault(tag, v)
+    return diags
 
 
 def _mean_se(per_run):
@@ -358,6 +369,8 @@ def run(config: ExperimentConfig, out_dir,
         dump_hamiltonian: bool = False, dump_state: bool = False) -> RunRecord:
     """Execute one experiment; write data files and record.json."""
     diags = validate(config)
+    if dump_hamiltonian and config.kind == "energy-scan":
+        diags += _vtag_collisions(config.v)  # the only files a scan names by v
     if diags:
         raise ValueError("invalid config: " + "; ".join(diags))
     if dump_state and config.kind == "energy-scan":

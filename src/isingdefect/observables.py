@@ -154,10 +154,9 @@ def correlator_zz(state: StateVector, r: int) -> float:
     return pauli_expectation(state, PauliString.from_ops({0: "Z", r - 1: "Z"}))
 
 
-def correlator_profile(state: StateVector, rs=None):
-    """Exact profile rows (r, value, 0.0)."""
-    rs = range(1, state.n_qubits + 1) if rs is None else rs
-    return [(r, correlator_zz(state, r), 0.0) for r in rs]
+def correlator_profile(state: StateVector):
+    """Exact profile rows (r, value, 0.0) for r = 1..L."""
+    return [(r, correlator_zz(state, r), 0.0) for r in range(1, state.n_qubits + 1)]
 
 
 def correlator_profile_shot(state: StateVector, plan: ShotPlan, runs: int = 1,

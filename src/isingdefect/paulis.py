@@ -169,8 +169,8 @@ class WeightedPauliSum:
             out.add(coeff.conjugate(), string)
         return out
 
-    def is_hermitian(self, tol=1e-12):
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+    def is_hermitian(self):
+        return all(abs(c.imag) <= 1e-12 for c in self._terms.values())
 
     def norm(self):
         """Sum of |coefficients| after canonical merge."""

@@ -47,6 +47,7 @@ from .statevector import (
 
 LAM = 1e-4  # initial metric regularization
 GRAD_TOL = 1e-6  # gradient norm that counts as converged
+REL_TOL = 1e-3  # relative error to the exact ground energy that counts as converged
 
 
 def derivative_state(spec: AnsatzSpec, params, p: int) -> StateVector:
@@ -106,7 +107,6 @@ class OptimizerState:
     iteration: int = 0
     energy: float = math.nan
     grad_norm: float = math.nan
-    learning_rate: float = 0.05
     converged: bool = False
     # why optimize stopped: rel_tol, grad_tol, max_iters, or rejected (set by
     # qng_step, which then leaves the rest of the state as it was, when the
@@ -114,8 +114,9 @@ class OptimizerState:
     stop_reason: str = ""
 
 
-def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> OptimizerState:
-    """One natural-gradient update; energy_fn enables the halving safeguard."""
+def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> OptimizerState:
+    """One natural-gradient update of at most eta, halved while energy_fn
+    reads a rise above state.energy."""
     import scipy.linalg
 
     grad = np.asarray(grad, dtype=np.float64)
@@ -123,34 +124,28 @@ def qng_step(state: OptimizerState, grad, metric, energy_fn=None, lam=LAM) -> Op
     P = grad.size
     if metric.shape != (P, P):
         raise ValueError("metric dimensions do not match gradient")
-    lam_cur = lam
-    direction = None
+    lam = LAM
     for attempt in range(7):
         if attempt:
-            lam_cur = 1e-4 if lam_cur == 0.0 else lam_cur * 10
-        shifted = metric + lam_cur * np.eye(P)
+            lam *= 10
+        shifted = metric + lam * np.eye(P)
         try:
-            cand = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), grad)
+            direction = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), grad)
         except (np.linalg.LinAlgError, ValueError):
-            cand = None
-        if cand is not None and np.all(np.isfinite(cand)):
-            direction = cand
+            continue
+        if np.all(np.isfinite(direction)):
             break
-    if direction is None:
-        raise RuntimeError(f"metric solve failed even at lambda={lam_cur:g}")
+    else:
+        raise RuntimeError(f"metric solve failed even at lambda={lam:g}")
 
-    eta = state.learning_rate
-    new_params = state.params - eta * direction
-    new_energy = state.energy
-    if energy_fn is not None and math.isfinite(state.energy):
-        for _ in range(9):  # full step plus 8 halvings
-            new_energy = energy_fn(new_params)
-            if new_energy <= state.energy + 1e-9:
-                break
-            eta *= 0.5
-            new_params = state.params - eta * direction
-        else:
-            return replace(state, stop_reason="rejected")
+    for _ in range(9):  # full step plus 8 halvings
+        new_params = state.params - eta * direction
+        new_energy = energy_fn(new_params)
+        if new_energy <= state.energy + 1e-9:
+            break
+        eta *= 0.5
+    else:
+        return replace(state, stop_reason="rejected")
     return replace(
         state,
         params=new_params,
@@ -164,7 +159,6 @@ class OptimizeOptions:
     eta: float = 0.05
     max_iters: int = 500
     seed: int = 0
-    rel_tol: float = 1e-3
 
     def __post_init__(self):
         if not 0 < self.eta < math.inf:  # NaN fails both comparisons
@@ -201,9 +195,7 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
     def energy_fn(params):
         return expectation(prepare_state(spec, params), H)
 
-    state = OptimizerState(
-        params=init_params(spec, opts.seed), learning_rate=opts.eta
-    )
+    state = OptimizerState(params=init_params(spec, opts.seed))
     trace = []
     while True:
         psi, D = derivative_sweep(spec, state.params)
@@ -216,13 +208,13 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         state.grad_norm = float(np.linalg.norm(grad))
         rel = abs(energy - target) / abs(target)
         trace.append(TraceRow(state.iteration, energy, state.grad_norm, rel))
-        if rel < opts.rel_tol:
+        if rel < REL_TOL:
             state.converged, state.stop_reason = True, "rel_tol"
         elif state.grad_norm < GRAD_TOL:
             state.converged, state.stop_reason = True, "grad_tol"
         elif len(trace) == opts.max_iters:
             state.stop_reason = "max_iters"
         else:
-            state = qng_step(state, grad, _metric(D, w), energy_fn=energy_fn)
+            state = qng_step(state, grad, _metric(D, w), opts.eta, energy_fn)
         if state.stop_reason:
             return state, trace

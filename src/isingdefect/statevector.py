@@ -26,12 +26,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self):
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class RotationGate:

@@ -51,6 +51,7 @@ from .statevector import RotationGate, plus_state, sum_expectation_raw
 
 _LETTERS = ("I", "X", "Y", "Z")
 FRAME_BYTES = 1 << 19  # erring rows per frame pass: 512 KB of state
+CHUNK = 2048  # trajectories per error-record draw; chunk k draws from [seed, stream, k]
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,13 @@ class NoiseModel:
             raise ValueError("error probabilities must lie in [0, 1)")
 
 
-def _default_factors():
-    return tuple(round(1.0 + 0.2 * i, 1) for i in range(11))
-
-
 @dataclass(frozen=True)
 class ZneSchedule:
     factors: tuple = ()
     degree: int = 2
 
     def __post_init__(self):
-        factors = tuple(self.factors) or _default_factors()
+        factors = tuple(self.factors) or tuple(round(1.0 + 0.2 * i, 1) for i in range(11))
         object.__setattr__(self, "factors", factors)
         if factors[0] != 1.0:
             raise ValueError("first noise factor must be 1.0")
@@ -133,6 +130,22 @@ def fold_gates(circuit: Circuit, factor: float) -> Circuit:
             out.append(g.inverse())
             out.append(g)
     return Circuit(circuit.n_qubits, tuple(out))
+
+
+def fold_schedule(circuit: Circuit, schedule: ZneSchedule) -> tuple:
+    """The circuit folded to each schedule factor, and the achieved factors
+    (n2 + 2k)/n2 the fit reads; refuses a schedule whose achieved factors
+    are too few distinct for its degree."""
+    n2 = circuit.two_qubit_count
+    if n2 == 0:
+        raise ValueError("no two-qubit gates to fold")
+    folded = [fold_gates(circuit, factor) for factor in schedule.factors]
+    achieved = [c.two_qubit_count / n2 for c in folded]
+    if len(set(achieved)) < schedule.degree + 1:
+        raise ValueError(f"the noise factors fold to {len(set(achieved))} distinct "
+                         f"factors; a degree-{schedule.degree} fit needs "
+                         f"{schedule.degree + 1}")
+    return folded, achieved
 
 
 def _runs_and_angles(circuit: Circuit):
@@ -202,13 +215,10 @@ def _apply_frame(B, at, x, z, flips, factors) -> None:
 
 
 def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
-                       trajectories: int, seed: int, stream: int,
-                       chunk: int) -> np.ndarray:
-    """Every trajectory's <obs>, in row order across chunks."""
+                       trajectories: int, seed: int, stream: int) -> np.ndarray:
+    """Every trajectory's <obs>, in row order across chunks of CHUNK."""
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
     if not obs.is_hermitian():
         raise ValueError("observable must be hermitian")
     if obs.n_qubits != circuit.n_qubits:
@@ -229,7 +239,7 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
     pieces = []
     chunk_index = 0
     while total < trajectories:
-        rows = min(chunk, trajectories - total)
+        rows = min(CHUNK, trajectories - total)
         rng = np.random.default_rng([seed, stream, chunk_index])
         records = _error_records(rng, rows, noisy)
         # B[0] is the clean trajectory; row r enters B[pos[r]] as a copy of
@@ -282,10 +292,9 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
 
 
 def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
-                      trajectories: int, seed: int = 0, stream: int = 0,
-                      chunk: int = 2048) -> EstimateRecord:
+                      trajectories: int, seed: int = 0, stream: int = 0) -> EstimateRecord:
     """Trajectory Monte Carlo mean of <obs> under per-gate Pauli noise."""
-    values = _trajectory_values(circuit, obs, noise, trajectories, seed, stream, chunk)
+    values = _trajectory_values(circuit, obs, noise, trajectories, seed, stream)
     std_error = float(values.std() / np.sqrt(trajectories))
     return EstimateRecord(float(values.mean()), std_error, trajectories, "zne", "X")
 
@@ -311,15 +320,7 @@ def _extrapolation_weights(schedule: ZneSchedule, factors) -> np.ndarray:
 def zne_pipeline(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
                  schedule: ZneSchedule, trajectories: int, seed: int = 0) -> dict:
     """Fold, sample, and extrapolate; returns the full report."""
-    n2 = circuit.two_qubit_count
-    if n2 == 0:
-        raise ValueError("no two-qubit gates to fold")
-    folded = [fold_gates(circuit, factor) for factor in schedule.factors]
-    achieved = [c.two_qubit_count / n2 for c in folded]
-    if len(set(achieved)) < schedule.degree + 1:
-        raise ValueError(f"the noise factors fold to {len(set(achieved))} distinct "
-                         f"factors; a degree-{schedule.degree} fit needs "
-                         f"{schedule.degree + 1}")
+    folded, achieved = fold_schedule(circuit, schedule)
     noiseless = noiseless_expectation(circuit, obs)
     records = [noisy_expectation(c, obs, noise, trajectories, seed=seed, stream=i)
                for i, c in enumerate(folded)]

@@ -83,7 +83,7 @@ def test_matches_dense_gate_product(boundary):
         psi = U @ psi
     got = prepare_state(spec, params)
     assert np.allclose(got.amplitudes, psi, atol=1e-12)
-    assert got.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(got.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])

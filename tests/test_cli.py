@@ -125,6 +125,36 @@ def test_validate_flags_each_problem():
     assert any("L=14: optimize needs" in d and "physical memory" in d for d in diags)
 
 
+def test_energy_scan_v_tags_name_only_dumped_hamiltonians(tmp_path):
+    # a scan writes scan_L{L}.csv; only --dump-hamiltonian names files by v
+    cfg = ExperimentConfig(kind="energy-scan", L=(12,), b=1, v=(1.0000001, 1.0000002))
+    assert validate(cfg) == []
+    assert run(cfg, tmp_path / "scan").outputs == ["scan_L12.csv"]
+    with pytest.raises(ValueError, match="share the file tag v1$"):
+        run(cfg, tmp_path / "dump", dump_hamiltonian=True)
+    assert not (tmp_path / "dump").exists()
+
+
+def test_validate_refuses_zne_factors_that_fold_alike(tmp_path, capsys):
+    # L=4 open, N=2: 6 two-qubit gates fold 0, 0 and 1 times for 1, 1.1, 1.2
+    text = ("kind = zne\nL = 4\nN = 2\nb = 0\nv = 0\n"
+            "factors = 1,1.1,1.2\nmax_iters = 3\n")
+    assert main(["validate", _write_cfg(tmp_path, text)]) == 1
+    assert ("L=4: the noise factors fold to 2 distinct factors; a degree-2 fit "
+            "needs 3") in capsys.readouterr().out
+    assert validate(parse_config_text(text.replace("1.1,1.2", "2,3"))) == []
+
+
+def test_shipped_config_hashes_are_unchanged():
+    # the config's defaults are read from the library types; the canonical
+    # text, and so every shipped config's hash, is the same as before
+    want = {"fig2b": "2b092cf6f662", "fig2c": "275eca415d2c", "fig3c": "9728a5425237",
+            "fig3d": "64b40998524a", "scan": "4b36f79ce56f"}
+    got = {name: config_hash(load_config(REPO / "configs" / f"{name}.cfg"))[:12]
+           for name in want}
+    assert got == want
+
+
 def test_mean_se_is_the_standard_error_of_the_mean():
     # two runs a and b: sample sd |a - b| / sqrt(2), so SE |a - b| / 2
     mean, se = cli._mean_se([0.25, 1.75])
@@ -578,6 +608,81 @@ STALE_TRACER_BINDINGS = {
     "isingdefect.zne.pauli_apply_raw",
     "isingdefect.observables.sample_pauli_expectation",
 }
+
+
+# Every settable value of the package: each defaulted parameter of a public
+# function or method, and each field of a public dataclass, reached from
+# `isingdefect.__all__`. A setting that only tests set is a constant; a
+# setting added later must be added here.
+SETTABLE_VALUES = {
+    "ansatz.AnsatzSpec.L", "ansatz.AnsatzSpec.N", "ansatz.AnsatzSpec.boundary='open'",
+    "ansatz.circuit_pass(derivatives=False)", "ansatz.init_params(seed=0)",
+    "measure.EstimateRecord.basis='X'", "measure.EstimateRecord.circuit_id",
+    "measure.EstimateRecord.shots_used", "measure.EstimateRecord.std_error",
+    "measure.EstimateRecord.value", "measure.ShotPlan.analytic=False",
+    "measure.ShotPlan.seed=0", "measure.ShotPlan.shots=1024",
+    "measure.gradient_shot(records=None)", "measure.metric_shot(records=None)",
+    "measure.sample_pauli_expectation(circuit_id=None)",
+    "model.ModelParams.L", "model.ModelParams.b=0", "model.ModelParams.j=None",
+    "model.ModelParams.v=0.0", "model.energy_scan(j=None)",
+    "observables.BraidOperator.L", "observables.BraidOperator.index",
+    "observables.BraidOperator.rotation(inverse=False)",
+    "observables.BraidOperator.to_sum(inverse=False)", "observables.LoopOperator.L",
+    "observables.correlator_profile_shot(records=None)",
+    "observables.correlator_profile_shot(rs=None)",
+    "observables.correlator_profile_shot(runs=1)",
+    "observables.ybar_hadamard(circuit_id=None)",
+    "paulis.PauliString.x=0", "paulis.PauliString.z=0",
+    "qng.OptimizeOptions.eta=0.05", "qng.OptimizeOptions.max_iters=500",
+    "qng.OptimizeOptions.seed=0", "qng.OptimizerState.converged=False",
+    "qng.OptimizerState.energy=nan", "qng.OptimizerState.grad_norm=nan",
+    "qng.OptimizerState.iteration=0", "qng.OptimizerState.params",
+    "qng.OptimizerState.stop_reason=''", "qng.TraceRow.energy", "qng.TraceRow.grad_norm",
+    "qng.TraceRow.iteration", "qng.TraceRow.rel_error", "qng.optimize(options=None)",
+    "statevector.RotationGate.angle", "statevector.RotationGate.generator",
+    "statevector.StateVector.amplitudes", "statevector.StateVector.n_qubits",
+    "zne.Circuit.gates", "zne.Circuit.n_qubits", "zne.NoiseModel.p1=0.0",
+    "zne.NoiseModel.p2=0.01", "zne.ZneSchedule.degree=2", "zne.ZneSchedule.factors=()",
+    "zne.noisy_expectation(seed=0)", "zne.noisy_expectation(stream=0)",
+    "zne.zne_pipeline(seed=0)",
+}
+
+
+def _settable_values() -> set:
+    import dataclasses
+    import inspect
+
+    import isingdefect
+
+    found = set()
+
+    def visit(name, obj):
+        if inspect.isfunction(obj) or inspect.ismethod(obj):  # classmethods bind
+            found.update(f"{name}({p.name}={p.default!r})"
+                         for p in inspect.signature(obj).parameters.values()
+                         if p.default is not p.empty)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                found.update(f"{name}.{f.name}" + ("" if f.default is dataclasses.MISSING
+                                                   else f"={f.default!r}")
+                             for f in dataclasses.fields(obj))
+            for attr in vars(obj):
+                if not attr.startswith("_"):
+                    visit(f"{name}.{attr}", getattr(obj, attr))
+
+    for name in isingdefect.__all__:
+        obj = getattr(isingdefect, name)
+        if inspect.ismodule(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and getattr(member, "__module__", "") == obj.__name__:
+                    visit(f"{name}.{attr}", member)
+        else:
+            visit(f"{obj.__module__.rsplit('.', 1)[-1]}.{name}", obj)
+    return found
+
+
+def test_settable_values_are_pinned():
+    assert _settable_values() == SETTABLE_VALUES
 
 
 def test_stale_tracer_bindings_are_listed():

@@ -14,6 +14,7 @@ from isingdefect.ansatz import (
 )
 from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.qng import (
+    LAM,
     OptimizeOptions,
     OptimizerState,
     derivative_state,
@@ -38,7 +39,7 @@ def test_derivative_norm_is_one():
     spec = AnsatzSpec(L=3, N=2)
     params = random_point(spec, 0)
     for p in range(parameter_count(spec)):
-        assert derivative_state(spec, params, p).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(derivative_state(spec, params, p).amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_derivative_of_stabilizer_rotation_is_pure_gauge():
@@ -187,41 +188,41 @@ def test_gradient_and_metric_match_complex_overlap_form(L):
     assert np.max(np.abs(metric_exact(spec, params) - metric)) < 1e-12
 
 
+def _flat(params):
+    # an energy that never rises above the states' 0.0: no halving
+    return 0.0
+
+
 def test_qng_step_identity_metric_is_vanilla_descent():
+    # the metric I + LAM I scales the descent step by 1 / (1 + LAM)
     params = np.array([0.3, -0.2, 1.0])
     grad = np.array([1.0, -2.0, 0.5])
-    state = OptimizerState(params=params, energy=0.0, learning_rate=0.05)
-    out = qng_step(state, grad, np.eye(3), lam=0.0)
-    assert np.allclose(out.params, params - 0.05 * grad, atol=1e-14)
+    state = OptimizerState(params=params, energy=0.0)
+    out = qng_step(state, grad, np.eye(3), 0.05, _flat)
+    assert np.allclose(out.params, params - 0.05 * grad / (1 + LAM), rtol=0, atol=1e-14)
     assert out.iteration == 1
 
 
 def test_qng_step_regularization_floor():
-    # singular 1x1 metric: the shift alone sets the scale, d = 0.1/1e-3 = 100
-    state = OptimizerState(params=np.array([0.0]), energy=0.0, learning_rate=0.05)
-    out = qng_step(state, np.array([0.1]), np.array([[0.0]]), lam=1e-3)
-    assert out.params[0] == pytest.approx(-5.0, abs=1e-12)
+    # singular 1x1 metric: the shift alone sets the scale, d = 0.1/LAM = 1000
+    state = OptimizerState(params=np.array([0.0]), energy=0.0)
+    out = qng_step(state, np.array([0.1]), np.array([[0.0]]), 0.05, _flat)
+    assert out.params[0] == pytest.approx(-0.05 * 0.1 / LAM, abs=1e-12)
 
 
 def test_qng_step_halves_until_energy_drops():
-    # f(x) = x^2 from x=3 with eta=1.5 overshoots; one halving lands at -1.5
-    state = OptimizerState(params=np.array([3.0]), energy=9.0, learning_rate=1.5)
-    out = qng_step(
-        state,
-        np.array([6.0]),
-        np.eye(1),
-        energy_fn=lambda q: float(q[0] ** 2),
-        lam=0.0,
-    )
-    assert out.params[0] == pytest.approx(-1.5, abs=1e-12)
-    assert out.energy == pytest.approx(2.25, abs=1e-12)
+    # f(x) = x^2 from x=3 with eta=1.5 overshoots to about -6; one halving
+    # lands at 3 - 0.75 * 6 / (1 + LAM), about -1.5
+    state = OptimizerState(params=np.array([3.0]), energy=9.0)
+    out = qng_step(state, np.array([6.0]), np.eye(1), 1.5, lambda q: float(q[0] ** 2))
+    x = 3.0 - 0.75 * 6.0 / (1 + LAM)
+    assert out.params[0] == pytest.approx(x, abs=1e-12)
+    assert out.energy == pytest.approx(x * x, abs=1e-12)
 
 
 def test_qng_step_rejects_hopeless_direction():
-    state = OptimizerState(params=np.array([1.0]), energy=5.0, learning_rate=1.0)
-    out = qng_step(
-        state, np.array([1.0]), np.eye(1), energy_fn=lambda q: 100.0, lam=0.0
-    )
+    state = OptimizerState(params=np.array([1.0]), energy=5.0)
+    out = qng_step(state, np.array([1.0]), np.eye(1), 1.0, lambda q: 100.0)
     assert out.params[0] == 1.0
     assert out.energy == 5.0
     assert out.stop_reason == "rejected"
@@ -285,26 +286,26 @@ def test_qng_step_escalates_and_surfaces_failure():
     state = OptimizerState(params=np.array([0.0]), energy=0.0)
     # -1 + lam is not positive up to lam = 1 and is 9 at lam = 10: a
     # one-parameter metric escalates like a larger one
-    out = qng_step(state, np.array([1.0]), np.array([[-1.0]]), lam=1e-4)
+    out = qng_step(state, np.array([1.0]), np.array([[-1.0]]), 0.05, _flat)
     assert abs(out.params[0] - (-0.05 / 9)) < 1e-12
     # the last lambda tried is 1e-4 * 10^6; the error names it
     with pytest.raises(RuntimeError, match=r"lambda=100\b"):
-        qng_step(state, np.array([1.0]), np.array([[math.nan]]))
+        qng_step(state, np.array([1.0]), np.array([[math.nan]]), 0.05, _flat)
     # -I + lam I is not positive definite up to lam = 1 and is 9 I at
     # lam = 10, so the step is -eta grad / 9
     grad = np.array([1.0, -2.0])
     state = OptimizerState(params=np.zeros(2), energy=0.0)
-    out = qng_step(state, grad, -np.eye(2), lam=1e-4)
+    out = qng_step(state, grad, -np.eye(2), 0.05, _flat)
     assert np.max(np.abs(out.params - (-0.05 * grad / 9))) < 1e-12
 
 
-def test_optimize_small_chain_to_exact_energy():
+def test_optimize_small_chain_to_exact_energy(monkeypatch):
+    # with no relative-error stop, the gradient norm ends the run
+    import isingdefect.qng as qng
+
+    monkeypatch.setattr(qng, "REL_TOL", 0.0)
     spec = AnsatzSpec(L=2, N=1)
-    state, trace = optimize(
-        spec,
-        ModelParams(L=2, b=0),
-        OptimizeOptions(rel_tol=0.0, max_iters=500),
-    )
+    state, trace = optimize(spec, ModelParams(L=2, b=0), OptimizeOptions(max_iters=500))
     assert state.converged
     assert state.energy == pytest.approx(-math.sqrt(5), abs=1e-6)
 
