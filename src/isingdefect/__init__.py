@@ -25,13 +25,11 @@ from .model import (
     build_hamiltonian,
     defect_coefficients,
     energy_scan,
-    energy_scan_csv,
     ground_energy_gap,
 )
 from .observables import (
     BraidOperator,
     LoopOperator,
-    correlator_csv,
     correlator_profile,
     correlator_profile_shot,
     correlator_zz,
@@ -50,7 +48,6 @@ from .qng import (
     metric_exact,
     optimize,
     qng_step,
-    trace_to_csv,
 )
 from .statevector import RotationGate, StateVector, expectation, plus_state
 from .zne import (

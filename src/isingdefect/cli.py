@@ -31,8 +31,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
-from itertools import product
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +40,12 @@ import numpy as np
 from . import __version__
 from .ansatz import AnsatzSpec, parameter_count, prepare_state
 from .measure import ShotPlan, _sample_pm1
-from .model import (
-    ModelParams,
-    build_hamiltonian,
-    energy_scan,
-    energy_scan_csv,
-    ground_energy_gap,
-)
-from .observables import (
-    correlator_csv,
-    correlator_profile_shot,
-    ybar_exact,
-    ybar_shots,
-)
+from .model import ModelParams, build_hamiltonian, energy_scan, ground_energy_gap
+from .observables import correlator_profile_shot, ybar_exact, ybar_shots
 from .paulis import DENSE_LIMIT, dense_matrix
-from .qng import OptimizeOptions, optimize, trace_to_csv
+from .qng import OptimizeOptions, optimize
 from .statevector import pauli_expectation
-from .zne import NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, zne_pipeline
+from .zne import CHUNK, NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, zne_pipeline
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
 STATEVECTOR_LIMIT = 14  # circuit kinds hold 2^L amplitudes per derivative state
@@ -211,10 +200,17 @@ def validate(config: ExperimentConfig) -> list:
             if spec and L <= STATEVECTOR_LIMIT:
                 P = parameter_count(spec)
                 need = 16 * (P + 1) * 2**L + 8 * P**2  # derivative batch and metric
+                what = (f"optimize needs {need / 2**30:.3g} GiB for {P + 1} states "
+                        f"and a {P} x {P} metric")
+                # zne's trajectory batch: up to CHUNK rows and the clean row, and a
+                # copy while a term that is neither diagonal nor one X is applied
+                rows = min(CHUNK, config.trajectories) + 1
+                if config.kind == "zne" and 32 * rows * 2**L > need:
+                    need = 32 * rows * 2**L
+                    what = (f"zne needs {need / 2**30:.3g} GiB for {rows} trajectory "
+                            f"states and their copy")
                 if need > memory:
-                    diags.append(f"L={L}: optimize needs {need / 2**30:.3g} GiB for "
-                                 f"{P + 1} states and a {P} x {P} metric; physical "
-                                 f"memory is {memory / 2**30:.3g} GiB")
+                    diags.append(f"L={L}: {what}; physical memory is {memory / 2**30:.3g} GiB")
         for v in config.v:
             check(f"L={L}, v={v:g}: ", ModelParams, L=L, b=config.b, v=v, j=config.j)
     check("", OptimizeOptions, eta=config.eta, max_iters=config.max_iters)
@@ -272,97 +268,91 @@ def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
                      for row in values.reshape(runs, len(terms))])
 
 
-def _write_text(path: Path, text: str):
-    """Write `text` to `path`, overwriting in place: ext4 flushes a file
-    truncated to zero and rewritten when it is closed (auto_da_alloc), so
-    a rerun into the same directory would wait on the disk."""
+def _csv(header: str, rows) -> str:
+    """The one CSV format: the header, then a line per row with ints as they
+    are and floats at 17 significant digits, which read back bit for bit."""
+    lines = [header] + [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_file(path: Path, data):
+    """Write text, or an array as .npy, to `path`, overwriting in place: ext4
+    flushes a file truncated to zero and rewritten when it is closed
+    (auto_da_alloc), so a rerun into the same directory would wait on the
+    disk."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode())
+        if isinstance(data, str):
+            fh.write(data.encode())
+        else:
+            np.save(fh, data)
         fh.truncate()
 
 
-def _write(out_dir: Path, name: str, text: str, outputs: list):
-    _write_text(out_dir / name, text)
-    outputs.append(name)
-
-
-def _save(out_dir: Path, name: str, array, outputs: list):
-    np.save(out_dir / name, array)
-    outputs.append(name)
-
-
-def _run_circuits(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    """Every circuit kind: optimize each (L, v) instance with seed + index,
-    prepare its state, then write the kind's data and record fields."""
+def _circuit_instance(config, idx, L, v, dump_hamiltonian, dump_state):
+    """One (L, v) instance of a circuit kind: optimize with seed + idx,
+    prepare psi and build H once, then measure what the kind asks for.
+    Returns (files, fields): the (name, text or array) pairs in write order
+    and the instance's record entry. Writes nothing."""
     kind = config.kind
     runs, shots = config.default_runs(), config.default_shots()
-    instances, ybar_rows = [], ["L,estimate,std_error,exact"]
-    for idx, (L, v) in enumerate(product(config.L, config.v)):
-        seed = config.seed + idx
-        mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
-        spec = AnsatzSpec(L=L, N=config.N or L // 2, boundary=mp.boundary)
-        state, trace = optimize(spec, mp, OptimizeOptions(
-            eta=config.eta, max_iters=config.max_iters, seed=seed))
-        psi = prepare_state(spec, state.params)
-        H = build_hamiltonian(mp)
-        plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
-        tag = f"L{L}_v{_vtag(v)}"
-        inst = {"L": L, "v": v, "converged": state.converged}
-        if kind == "optimize":
-            _write(out_dir, f"trace_{tag}.csv", trace_to_csv(trace), outputs)
-            reference = ground_energy_gap(mp)[0]
-            measured, se = _measured_energy(H, psi, plan, runs, tag)
-            inst.update(b=config.b, energy=state.energy, exact_energy=reference,
-                        rel_error=abs(state.energy - reference) / abs(reference),
-                        iterations=state.iteration, stop_reason=state.stop_reason,
-                        measured_energy=measured, measured_std_error=se)
-        elif kind == "correlator":
-            rows = correlator_profile_shot(psi, plan, runs=runs)
-            _write(out_dir, f"correlator_{tag}.csv", correlator_csv(rows), outputs)
-            inst.update(j=mp.j, profile=[list(row) for row in rows])
-        elif kind == "ybar":
-            estimate, se = _mean_se([rec.value for rec in ybar_shots(
-                psi, plan, [f"ybar:L{L}:v{_vtag(v)}:run{run}" for run in range(runs)])])
-            exact = ybar_exact(psi)
-            ybar_rows.append(f"{L},{estimate:.17g},{se:.17g},{exact:.17g}")
-            inst.update(estimate=estimate, std_error=se, exact=exact)
-        else:
-            report = zne_pipeline(
-                ansatz_circuit(spec, state.params), H,
-                NoiseModel(p2=config.p2, p1=config.p1),
-                ZneSchedule(factors=config.factors or (), degree=config.degree),
-                config.trajectories, seed=seed)
-            _write(out_dir, f"zne_{tag}.json",
-                   json.dumps(report, indent=2, sort_keys=True) + "\n", outputs)
-            inst.update(unmitigated=report["estimates"][0],
-                        extrapolated=report["extrapolated"],
-                        extrapolated_std_error=report["extrapolated_std_error"],
-                        noiseless_reference=report["noiseless_reference"],
-                        exact_energy=ground_energy_gap(mp)[0])
-        if kind != "zne":
-            inst.update(runs=runs, shots=shots)
-        if dump_hamiltonian:
-            _save(out_dir, f"hamiltonian_{tag}.npy", dense_matrix(H), outputs)
-        if dump_state:
-            _save(out_dir, f"state_{tag}.npy", psi.amplitudes, outputs)
-        instances.append(inst)
-    if kind == "ybar":
-        _write(out_dir, "ybar.csv", "\n".join(ybar_rows) + "\n", outputs)
-    return {"instances": instances}
+    seed = config.seed + idx
+    mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
+    spec = AnsatzSpec(L=L, N=config.N or L // 2, boundary=mp.boundary)
+    state, trace = optimize(spec, mp, OptimizeOptions(
+        eta=config.eta, max_iters=config.max_iters, seed=seed))
+    psi = prepare_state(spec, state.params)
+    H = build_hamiltonian(mp)
+    plan = ShotPlan(shots=shots, seed=seed, analytic=config.analytic)
+    tag = f"L{L}_v{_vtag(v)}"
+    files, inst = [], {"L": L, "v": v, "converged": state.converged}
+    if kind == "optimize":
+        files.append((f"trace_{tag}.csv", _csv("iter,energy,grad_norm,rel_error",
+                                               map(astuple, trace))))
+        reference = ground_energy_gap(mp)[0]
+        measured, se = _measured_energy(H, psi, plan, runs, tag)
+        inst.update(b=config.b, energy=state.energy, exact_energy=reference,
+                    rel_error=abs(state.energy - reference) / abs(reference),
+                    iterations=state.iteration, stop_reason=state.stop_reason,
+                    measured_energy=measured, measured_std_error=se)
+    elif kind == "correlator":
+        rows = correlator_profile_shot(psi, plan, runs=runs)
+        files.append((f"correlator_{tag}.csv", _csv("r,value,std_error", rows)))
+        inst.update(j=mp.j, profile=[list(row) for row in rows])
+    elif kind == "ybar":
+        estimate, se = _mean_se([rec.value for rec in ybar_shots(
+            psi, plan, [f"ybar:L{L}:v{_vtag(v)}:run{run}" for run in range(runs)])])
+        inst.update(estimate=estimate, std_error=se, exact=ybar_exact(psi))
+    else:
+        report = zne_pipeline(
+            ansatz_circuit(spec, state.params), H,
+            NoiseModel(p2=config.p2, p1=config.p1),
+            ZneSchedule(factors=config.factors or (), degree=config.degree),
+            config.trajectories, seed=seed)
+        files.append((f"zne_{tag}.json", json.dumps(report, indent=2, sort_keys=True) + "\n"))
+        inst.update(unmitigated=report["estimates"][0],
+                    extrapolated=report["extrapolated"],
+                    extrapolated_std_error=report["extrapolated_std_error"],
+                    noiseless_reference=report["noiseless_reference"],
+                    exact_energy=ground_energy_gap(mp)[0])
+    if kind != "zne":
+        inst.update(runs=runs, shots=shots)
+    if dump_hamiltonian:
+        files.append((f"hamiltonian_{tag}.npy", dense_matrix(H)))
+    if dump_state:
+        files.append((f"state_{tag}.npy", psi.amplitudes))
+    return files, inst
 
 
-def _run_energy_scan(config, out_dir, outputs, dump_hamiltonian, dump_state):
-    results = {"instances": []}
-    for L in config.L:
-        rows = energy_scan(L, config.b, config.v, config.j)
-        _write(out_dir, f"scan_L{L}.csv", energy_scan_csv(rows), outputs)
-        results["instances"].append({"L": L, "points": len(rows)})
-        if dump_hamiltonian:
-            for v in config.v:
-                mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
-                _save(out_dir, f"hamiltonian_L{L}_v{_vtag(v)}.npy",
-                      dense_matrix(build_hamiltonian(mp)), outputs)
-    return results
+def _scan_instance(config, L, dump_hamiltonian):
+    """One L of an energy scan: (files, fields) as for a circuit instance.
+    Each v's dump is built only as it is written, one dense matrix at a time."""
+    rows = energy_scan(L, config.b, config.v, config.j)
+    dumps = ((f"hamiltonian_L{L}_v{_vtag(v)}.npy",
+              dense_matrix(build_hamiltonian(ModelParams(L=L, b=config.b, v=v, j=config.j))))
+             for v in (config.v if dump_hamiltonian else ()))
+    table = (f"scan_L{L}.csv", _csv("v,L_over_lB,ground_energy,gap", rows))
+    return chain([table], dumps), {"L": L, "points": len(rows)}
 
 
 def run(config: ExperimentConfig, out_dir,
@@ -384,15 +374,30 @@ def run(config: ExperimentConfig, out_dir,
     import scipy
 
     started = time.monotonic()
-    outputs = []
-    runner = _run_energy_scan if config.kind == "energy-scan" else _run_circuits
-    results = runner(config, out_dir, outputs, dump_hamiltonian, dump_state)
+    if config.kind == "energy-scan":
+        stream = (_scan_instance(config, L, dump_hamiltonian) for L in config.L)
+    else:
+        stream = (_circuit_instance(config, idx, L, v, dump_hamiltonian, dump_state)
+                  for idx, (L, v) in enumerate(product(config.L, config.v)))
+    outputs, instances = [], []
+    for files, inst in stream:  # each instance's files are written before the next starts
+        for name, data in files:
+            _write_file(out_dir / name, data)
+            outputs.append(name)
+            del data  # a dump is up to 268 MB at L = 12: hold one at a time
+        del files
+        instances.append(inst)
+    if config.kind == "ybar":
+        keys = ("L", "v", "estimate", "std_error", "exact")
+        rows = [[inst[k] for k in keys] for inst in instances]
+        _write_file(out_dir / "ybar.csv", _csv(",".join(keys), rows))
+        outputs.append("ybar.csv")
     record = RunRecord(
         kind=config.kind,
         config_hash=config_hash(config),
         config=config_canonical(config),
         outputs=outputs,
-        results=results,
+        results={"instances": instances},
         wall_time_s=time.monotonic() - started,
         versions={
             "python": ".".join(str(x) for x in sys.version_info[:3]),
@@ -401,7 +406,7 @@ def run(config: ExperimentConfig, out_dir,
             "isingdefect": __version__,
         },
     )
-    _write_text(out_dir / "record.json", record.to_json() + "\n")
+    _write_file(out_dir / "record.json", record.to_json() + "\n")
     return record
 
 

@@ -175,10 +175,3 @@ def energy_scan(L: int, b: int, v_list, j: int | None = None):
             ratio = math.inf
         rows.append((float(v), ratio, energy, gap))
     return rows
-
-
-def energy_scan_csv(rows) -> str:
-    lines = ["v,L_over_lB,ground_energy,gap"]
-    for v, x, e, gap in rows:
-        lines.append(f"{v:.17g},{x:.17g},{e:.17g},{gap:.17g}")
-    return "\n".join(lines) + "\n"

@@ -179,10 +179,3 @@ def correlator_profile_shot(state: StateVector, plan: ShotPlan, runs: int = 1,
         rows[r] = (r, float(np.mean([b.value for b in block])),
                    float(np.sqrt(np.sum(np.square([b.std_error for b in block])))) / runs)
     return [rows[r] for r in rs]
-
-
-def correlator_csv(rows) -> str:
-    lines = ["r,value,std_error"]
-    for r, value, se in rows:
-        lines.append(f"{r},{value:.17g},{se:.17g}")
-    return "\n".join(lines) + "\n"

@@ -175,13 +175,6 @@ class TraceRow:
     rel_error: float
 
 
-def trace_to_csv(trace) -> str:
-    lines = ["iter,energy,grad_norm,rel_error"]
-    for r in trace:
-        lines.append(f"{r.iteration},{r.energy:.17g},{r.grad_norm:.17g},{r.rel_error:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptions | None = None):
     """Ground-state search; returns (final OptimizerState, trace rows)."""
     opts = options or OptimizeOptions()

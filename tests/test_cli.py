@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from isingdefect.cli import (
     run,
     validate,
 )
-from isingdefect.model import ModelParams, build_hamiltonian, ground_energy_gap
+from isingdefect.model import ModelParams, build_hamiltonian, energy_scan, ground_energy_gap
 from isingdefect.observables import correlator_profile
 from isingdefect.ansatz import AnsatzSpec, prepare_state
 from isingdefect.qng import OptimizeOptions, optimize
@@ -125,6 +126,17 @@ def test_validate_flags_each_problem():
     assert any("L=14: optimize needs" in d and "physical memory" in d for d in diags)
 
 
+def test_validate_counts_the_zne_trajectory_batch(monkeypatch):
+    # on a 10 MB host, L=10 with N=1 optimizes in 0.4 MB, but a zne batch of
+    # CHUNK trajectory states, the clean state and a copy of them is 67 MB
+    pages = {"SC_PHYS_PAGES": 2560, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cfg = ExperimentConfig(kind="zne", L=(10,), N=1)
+    assert validate(cfg) == ["L=10: zne needs 0.0625 GiB for 2049 trajectory states and "
+                             "their copy; physical memory is 0.00977 GiB"]
+    assert validate(replace(cfg, kind="optimize")) == []
+
+
 def test_energy_scan_v_tags_name_only_dumped_hamiltonians(tmp_path):
     # a scan writes scan_L{L}.csv; only --dump-hamiltonian names files by v
     cfg = ExperimentConfig(kind="energy-scan", L=(12,), b=1, v=(1.0000001, 1.0000002))
@@ -223,7 +235,7 @@ def test_run_ybar_analytic_hits_exact_value(tmp_path):
     # variational, not exact, ground state: loop value lands near -sqrt(2)
     assert inst["exact"] == pytest.approx(-math.sqrt(2), abs=0.01)
     lines = (tmp_path / "out" / "ybar.csv").read_text().splitlines()
-    assert lines[0] == "L,estimate,std_error,exact"
+    assert lines[0] == "L,v,estimate,std_error,exact"
     assert len(lines) == 2
 
 
@@ -396,6 +408,79 @@ KIND_CONFIGS = {
 def _run_kind(kind, out_dir):
     return run(KIND_CONFIGS[kind], out_dir, dump_hamiltonian=True,
                dump_state=kind != "energy-scan")
+
+
+def test_ybar_csv_tells_its_instances_apart(tmp_path):
+    # two v at one L once wrote two rows that both began 4, with no v
+    run(KIND_CONFIGS["ybar"], tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "ybar.csv").read_text().splitlines()]
+    assert rows[0] == ["L", "v", "estimate", "std_error", "exact"]
+    assert [(int(row[0]), float(row[1])) for row in rows[1:]] == [(4, 0.0), (4, 1.0)]
+
+
+def test_csv_writes_ints_as_they_are_and_floats_at_17_digits():
+    text = cli._csv("r,value,std_error", [(1, 1.0, 0.0), (2, 0.1, math.inf)])
+    assert text == "r,value,std_error\n1,1,0\n2,0.10000000000000001,inf\n"
+
+
+def _table(path):
+    """A CSV's header and its rows, split into fields."""
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_cli_csv_floats_read_back_to_the_record(tmp_path):
+    # every float a CSV holds reads back == to record.json's value, or to the
+    # library's where the record keeps only a count
+    def manifest(kind):
+        run(KIND_CONFIGS[kind], tmp_path / kind)
+        return json.loads((tmp_path / kind / "record.json").read_text())["results"]["instances"]
+
+    for tag, inst in zip(("L4_v0", "L4_v1"), manifest("correlator")):
+        header, rows = _table(tmp_path / "correlator" / f"correlator_{tag}.csv")
+        assert header == "r,value,std_error" and rows[0] == ["1", "1", "0"]
+        assert [[int(r), float(x), float(se)] for r, x, se in rows] == inst["profile"]
+    instances = manifest("ybar")
+    header, rows = _table(tmp_path / "ybar" / "ybar.csv")
+    assert [[int(row[0])] + [float(x) for x in row[1:]] for row in rows] == \
+           [[inst[k] for k in header.split(",")] for inst in instances]
+    cfg = KIND_CONFIGS["optimize"]
+    for idx, (tag, inst) in enumerate(zip(("L4_v0", "L4_v1"), manifest("optimize"))):
+        header, rows = _table(tmp_path / "optimize" / f"trace_{tag}.csv")
+        assert header == "iter,energy,grad_norm,rel_error"
+        assert rows[0][0] == "0" and float(rows[0][3]) >= 0
+        assert float(rows[-1][1]) == inst["energy"]
+        _, trace = optimize(AnsatzSpec(L=4, N=2), ModelParams(L=4, v=inst["v"]),
+                            OptimizeOptions(seed=cfg.seed + idx))
+        assert [(int(row[0]), *map(float, row[1:])) for row in rows] == \
+               [astuple(r) for r in trace]
+    (inst,) = manifest("energy-scan")
+    header, rows = _table(tmp_path / "energy-scan" / "scan_L4.csv")
+    assert header == "v,L_over_lB,ground_energy,gap" and len(rows) == inst["points"] == 2
+    assert [tuple(map(float, row)) for row in rows] == energy_scan(4, 0, [0.0, 1.0])
+
+
+def test_write_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "used"
+    path.write_bytes(b"x" * 4096)
+    cli._write_file(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    array = np.arange(6.0).reshape(2, 3)
+    path.write_bytes(b"x" * 4096)
+    cli._write_file(path, array)
+    np.save(tmp_path / "fresh.npy", array)
+    assert np.array_equal(np.load(path), array)
+    assert path.stat().st_size == (tmp_path / "fresh.npy").stat().st_size < 4096
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_file_goes_through_the_one_writer(tmp_path, monkeypatch, kind):
+    written = []
+    write = cli._write_file
+    monkeypatch.setattr(cli, "_write_file",
+                        lambda path, data: written.append(path.name) or write(path, data))
+    record = _run_kind(kind, tmp_path)
+    assert written == record.outputs + ["record.json"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -12,7 +12,6 @@ from isingdefect.model import (
     build_hamiltonian,
     defect_coefficients,
     energy_scan,
-    energy_scan_csv,
     ground_energy_gap,
 )
 from isingdefect.paulis import dense_matrix
@@ -227,7 +226,7 @@ def test_free_fermion_energy_gap_single_site():
     assert ground_energy_gap(ModelParams(L=1, b=0)) == (-1.0, 2.0)
 
 
-def test_energy_scan_rows_and_csv():
+def test_energy_scan_rows():
     rows = energy_scan(4, 0, [0.0, 0.5, 4.0])
     assert [r[0] for r in rows] == [0.0, 0.5, 4.0]
     for v, x, e, gap in rows:
@@ -236,12 +235,6 @@ def test_energy_scan_rows_and_csv():
     assert rows[0][2] == pytest.approx(
         exact_ground(ModelParams(L=4, b=0)).ground_energy
     )
-    csv = energy_scan_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "v,L_over_lB,ground_energy,gap"
-    assert len(lines) == 4
-    back = [float(f) for f in lines[2].split(",")]
-    assert back == pytest.approx([rows[1][0], rows[1][1], rows[1][2], rows[1][3]])
 
 
 def test_parameter_validation():

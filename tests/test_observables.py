@@ -10,7 +10,6 @@ from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.observables import (
     BraidOperator,
     LoopOperator,
-    correlator_csv,
     correlator_profile,
     correlator_profile_shot,
     correlator_zz,
@@ -266,14 +265,6 @@ def test_profile_shot_records_are_one_batch_on_the_oracle_means():
         block = want[k:k + runs]
         assert value == pytest.approx(np.mean([w.value for w in block]), abs=1e-15)
         assert se == pytest.approx(math.hypot(*[w.std_error for w in block]) / runs)
-
-
-def test_output_formats():
-    rows = [(1, 1.0, 0.0), (2, 0.4472, 0.01)]
-    csv = correlator_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "r,value,std_error"
-    assert lines[1].startswith("1,1,") or lines[1].startswith("1,1.0")
 
 
 def test_braid_index_validation():

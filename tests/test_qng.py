@@ -22,7 +22,6 @@ from isingdefect.qng import (
     metric_exact,
     optimize,
     qng_step,
-    trace_to_csv,
 )
 from isingdefect.statevector import expectation, sum_apply_raw
 
@@ -348,19 +347,6 @@ def test_energy_trace_monotone_under_safeguard():
     _, trace = optimize(spec, mp)
     energies = np.array([r.energy for r in trace])
     assert np.all(np.diff(energies) <= 1e-9)
-
-
-def test_trace_csv_shape():
-    mp = ModelParams(L=2, b=0)
-    spec = AnsatzSpec(L=2, N=1)
-    state, trace = optimize(spec, mp, OptimizeOptions(max_iters=40))
-    csv = trace_to_csv(trace)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "iter,energy,grad_norm,rel_error"
-    assert len(lines) == len(trace) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[3]) >= 0  # relative error against the oracle energy
 
 
 def test_optimize_flags_non_convergence():
