@@ -14,12 +14,17 @@ One circuit pass, `circuit_pass`, runs block by block, and `apply_run` is
 the one executor of a block. Consecutive gates that commute form one block
 (`gate_runs`, which `zne` shares for folded gate lists): a diagonal block
 (the Z fields of layer a with the ZZ bonds of layer a+1) is one
-phase-vector multiply exp(-i sum_p t_p s_p), and an X block (one X rotation
-per site) is a few Kronecker factors of at most FACTOR_SITES adjacent sites,
-applied by matmul on a reshaped view. A derivative insertion -i O_p
-commutes with the rest of its block, so `derivative_sweep` writes all of a
-block's derivative rows at once, at the block's end, from the sign rows
-`apply_run` returns for a diagonal block.
+phase-vector multiply exp(-i sum_p t_p s_p). An X block (one X rotation
+per site) is P R P, with P = S^dag on every site and R = prod_i (cos t_i
+Z_i + sin t_i X_i) real: a few Kronecker factors of at most FACTOR_SITES
+adjacent sites, applied by real matmul on the float64 view. A diagonal
+block next to an X block multiplies that block's P into its phase vector,
+so between the two the rows hold P or P^dag times the state. A derivative
+insertion -i O_p commutes with the rest of its block, so
+`derivative_sweep` writes all of a block's derivative rows at once, at the
+block's end: from the sign rows `apply_run` returns for a diagonal block,
+and for an X block as one gather, X_s Z_s psi while the rows hold P^dag
+and -i X_s psi otherwise.
 """
 from __future__ import annotations
 
@@ -28,11 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString
+from .paulis import PauliString, parity_signs
 from .statevector import (
     RotationGate,
     StateVector,
-    _pair_view,
     _zsigns,
     plus_state,
     rotation_apply_raw,
@@ -41,6 +45,7 @@ from .statevector import (
 _BOUNDARIES = ("open", "periodic")
 FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
 GROUP_BYTES = 1 << 21  # state rows per X-block pass: 2 MB, an L2's worth
+PRODUCT_MACS = 1 << 17  # largest X-block BLAS product, in multiply-adds
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,13 @@ def gates(spec: AnsatzSpec, params) -> list[RotationGate]:
 
 
 def gate_runs(generators) -> tuple:
-    """Maximal runs of commuting gates as (kind, start, stop, keys): kind "z"
-    for consecutive diagonal gates (keys: Z masks), "x" for single-site X
-    gates on distinct sites (keys: sites; a repeated site starts a new run),
-    "g" for any other generator, one gate per run (keys: the generator)."""
+    """Maximal runs of commuting gates as (kind, start, stop, keys, shared):
+    kind "z" for consecutive diagonal gates (keys: Z masks), "x" for
+    single-site X gates on distinct sites (keys: sites; a repeated site
+    starts a new run), "g" for any other generator, one gate per run (keys:
+    the generator). An X run is P R P with P = S^dag on every site (see
+    `_x_block`); shared = (before, after) marks each side where a Z run and
+    an X run meet, and there the Z run applies the X run's P."""
     runs = []
     for p, g in enumerate(generators):
         if g.x == 0:
@@ -104,7 +112,9 @@ def gate_runs(generators) -> tuple:
             last[3].append(key)
         else:
             runs.append([kind, p, p + 1, [key]])
-    return tuple((kind, start, stop, tuple(keys)) for kind, start, stop, keys in runs)
+    meets = [False] + [{a[0], b[0]} == {"z", "x"} for a, b in zip(runs, runs[1:])] + [False]
+    return tuple((kind, start, stop, tuple(keys), (meets[i], meets[i + 1]))
+                 for i, (kind, start, stop, keys) in enumerate(runs))
 
 
 @lru_cache(maxsize=32)
@@ -114,52 +124,91 @@ def _blocks(spec: AnsatzSpec) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _s_dagger(dim: int) -> np.ndarray:
+    """P = S^dag on every site, diag((-i)^popcount(k)), exact and read-only."""
+    P = np.array([1, -1j, -1, 1j])[np.bitwise_count(np.arange(dim, dtype=np.uint64)) & 3]
+    P.setflags(write=False)
+    return P
+
+
+@lru_cache(maxsize=None)
 def _factor_tables(width: int):
-    """Bits of each factor index, and the index XOR table: a tensor product
-    of c I - i s X factors has entry (r, c) depending on r ^ c only."""
+    """Bits of each factor index, the index XOR table and the sign table: a
+    tensor product of cos t Z + sin t X factors has entry (r, c) =
+    k[r ^ c] (-1)^popcount(r & c), k[m] the product over sites of sin t
+    where m has a bit and cos t where it has none."""
     m = np.arange(1 << width)
     bits = (m[:, None] >> np.arange(width)) & 1
-    return bits, m[:, None] ^ m[None, :]
+    return bits, m[:, None] ^ m[None, :], parity_signs(m, 1 << width)
+
+
+@lru_cache(maxsize=32)
+def _flip_tables(sites: tuple, dim: int):
+    """Per site s, the index k ^ 2^s and the sign -(-1)^bit_s(k): X_s Z_s psi
+    is sign * psi[index]."""
+    masks = np.array([1 << s for s in sites])
+    return np.arange(dim) ^ masks[:, None], -parity_signs(masks, dim)
 
 
 def _x_block(batch, sites, angles, L: int) -> None:
-    """In-place prod_i exp(-i t_i X_i) over distinct sites, one Kronecker
-    factor of adjacent sites at a time: the L sites split evenly into the
-    fewest factors of at most FACTOR_SITES sites (4+4 at L=8, 5+5 at L=10,
-    4+4+4 at L=12). Sites outside the block get angle 0, the identity."""
+    """In-place R = prod_i (cos t_i Z_i + sin t_i X_i) over distinct sites:
+    exp(-i t X) = S^dag (cos t Z + sin t X) S^dag, so the X rotations are
+    P R P, P = S^dag on every site, and `apply_run` places the two P. Sites
+    outside the block get angle 0, where the factor is Z and P Z P = 1.
+    R is real and symmetric and acts on the float64 view (bit b of a complex
+    index is bit b + 1 of a real one), one Kronecker factor of adjacent
+    sites at a time: the L sites split evenly into the fewest factors of at
+    most FACTOR_SITES sites (4+4 at L=8, 5+5 at L=10, 4+4+4 at L=12). The
+    lowest factor acts as R (x) I_2 on rows of the view, the others from the
+    left."""
     full = np.zeros(L)
     full[list(sites)] = angles
-    cos, msin = np.cos(full), -1j * np.sin(full)
+    cos, sin = np.cos(full), np.sin(full)
     count = -(-L // FACTOR_SITES)
     factors = []
     for c in range(count):
         lo = c * L // count
         width = (c + 1) * L // count - lo
-        bits, xor = _factor_tables(width)
-        k = np.where(bits, msin[lo : lo + width], cos[lo : lo + width]).prod(axis=1)
-        factors.append((lo, width, k[xor]))  # symmetric
+        bits, xor, signs = _factor_tables(width)
+        k = np.where(bits, sin[lo : lo + width], cos[lo : lo + width]).prod(axis=1)
+        factor = k[xor] * signs  # symmetric
+        if lo == 0:
+            wide = np.zeros((2 << width, 2 << width))
+            wide[::2, ::2] = wide[1::2, 1::2] = factor
+            factor = wide
+        factors.append((lo, width, factor))
     # rows go through in groups of at most GROUP_BYTES, which bounds the
-    # matmul temporaries; one small product per row and factor keeps each
-    # BLAS call single-threaded
+    # spare buffer each product writes to in turn; every product is real and,
+    # up to L = 12, at most PRODUCT_MACS multiply-adds, which keeps each BLAS
+    # call single-threaded
+    real = batch.view(np.float64)
     step = max(1, GROUP_BYTES // batch[0].nbytes)
+    spare = np.empty_like(real[:step])
     for r in range(0, batch.shape[0], step):
-        group = batch[r : r + step]
+        src = group = real[r : r + step]
+        dst = spare[: group.shape[0]]
         for lo, width, factor in factors:
             if lo == 0:
-                view = group.reshape(group.shape[0], -1, 1 << width)
-                view[...] = np.matmul(view, factor)
+                rows = src.size >> (width + 1)
+                shape = (-1, min(rows & -rows, PRODUCT_MACS >> (2 * width + 2)), 2 << width)
+                np.matmul(src.reshape(shape), factor, out=dst.reshape(shape))
             else:
-                view = group.reshape(-1, 1 << width, 1 << lo)
-                view[...] = np.matmul(factor, view)
+                shape = (-1, 1 << width, 2 << lo)
+                np.matmul(factor, src.reshape(shape), out=dst.reshape(shape))
+            src, dst = dst, src
+        if src is not group:
+            group[...] = src
 
 
-def _z_block(batch, keys, angles, dim: int) -> np.ndarray:
-    """In-place exp(-i sum_p t_p Z_p) over diagonal strings (Z masks), as
-    one phase-vector multiply; returns the sign rows s_p."""
+def _z_block(batch, keys, angles, dim: int, turns: int) -> np.ndarray:
+    """In-place P^turns exp(-i sum_p t_p Z_p) over diagonal strings (Z
+    masks), as one phase-vector multiply; returns the sign rows s_p."""
     signs = np.array([_zsigns(z, dim) for z in keys])
     arg = angles @ signs
     phase = np.empty(dim, dtype=np.complex128)
     phase.real, phase.imag = np.cos(arg), -np.sin(arg)
+    for _ in range(turns):
+        phase *= _s_dagger(dim)
     batch *= phase
     return signs
 
@@ -167,12 +216,17 @@ def _z_block(batch, keys, angles, dim: int) -> np.ndarray:
 def apply_run(batch, run, angles, L: int):
     """In-place gates of one `gate_runs` run on a raw (rows, 2^L) batch;
     `angles` are the run's angles in firing order. Returns a diagonal run's
-    sign rows s_p, and None for any other run."""
-    kind, _, _, keys = run
+    sign rows s_p, and None for any other run. A Z run applies the P of the
+    X runs it meets, so across such a meeting the rows hold P or P^dag."""
+    kind, _, _, keys, (before, after) = run
     if kind == "z":
-        return _z_block(batch, keys, angles, 1 << L)
+        return _z_block(batch, keys, angles, 1 << L, before + after)
     if kind == "x":
+        if not before:
+            batch *= _s_dagger(1 << L)
         _x_block(batch, keys, angles, L)
+        if not after:
+            batch *= _s_dagger(1 << L)
     else:
         rotation_apply_raw(batch, RotationGate(keys[0], float(angles[0])))
     return None
@@ -182,25 +236,31 @@ def circuit_pass(runs, angles, L: int, derivatives: bool = False) -> np.ndarray:
     """Run by run over |+>: row 0 is U|+>. With derivatives, row p+1 is
     U_>p (-i O_p) U_<=p |+>, for runs of Z and single-site X gates."""
     angles = np.asarray(angles, dtype=np.float64)
-    if len(angles) != sum(stop - start for _, start, stop, _ in runs):
+    if len(angles) != sum(run[2] - run[1] for run in runs):
         raise ValueError("parameter count mismatch")
+    if derivatives:
+        for kind, start, _, keys, _ in runs:
+            if kind == "g":
+                raise ValueError(f"derivatives need Z and single-site X runs; gate "
+                                 f"{start} ({keys[0]!r}) is neither")
     dim = 1 << L
     batch = np.empty((len(angles) + 1 if derivatives else 1, dim), dtype=np.complex128)
     batch[0] = plus_state(L).amplitudes
     psi = batch[0]
     for run in runs:
-        _, start, stop, keys = run
+        _, start, stop, keys, (_, after) = run
         # psi and the derivative rows made so far
         signs = apply_run(batch[: start + 1], run, angles[start:stop], L)
         if not derivatives:
             continue
+        rows = batch[start + 1 : stop + 1]
         if signs is not None:
-            np.multiply(signs, -1j * psi, out=batch[start + 1 : stop + 1])
-        else:  # -i X_site flips the pair axis of a view
-            psi_mi = -1j * psi
-            for p, site in enumerate(keys, start + 1):
-                flipped = _pair_view(psi_mi, site, dim)[..., ::-1, :]
-                _pair_view(batch[p], site, dim)[...] = flipped
+            np.multiply(signs, -1j * psi, out=rows)
+        else:
+            # -i X_s psi; while the rows hold P^dag times the state,
+            # P^dag (-i X_s) P = X_s Z_s
+            index, sign = _flip_tables(keys, dim)
+            np.multiply(psi[index], sign if after else -1j, out=rows)
     return batch
 
 

@@ -17,17 +17,18 @@ holds only trajectories that have erred, and those that never err share
 the clean state's value.
 
 The circuit runs in the maximal commuting runs of `ansatz.gate_runs`, and
-noise does not split them. A Pauli error E commutes with a later diagonal
-rotation exp(-i t s) when E's X part meets an even number of the gate's Z
-sites, and flips the angle's sign otherwise. So a diagonal run is one
-phase-vector multiply over every live row, the product of its gates. Each
-row that erred inside it then takes its Pauli frame: the correction
-exp(2i t s) of every later gate its frame flipped, then the product of its
-errors, X^x Z^z up to a global phase, as one sign multiply and one gather
-(Pauli-frame sampling: Knill 2005; Gidney, arXiv:2103.02202). A run of
-single-site X rotations is one Kronecker-factor pass; an error in it sits
-on its gate's site, which no later gate of the run touches, so the frame
-step applies it at the run's end. Any other generator is a run of one gate.
+noise does not split them: each run acts on every live row at once. An
+error E after gate e of a run is then S_e E S_e^dag on the rows the whole
+run made, S_e being every phase the run applies after gate e: the later
+diagonal gates, exp(-i sum_{j>e} t_j s_j), and the P = S^dag on every site
+that the rows still hold where a Z run meets an X run (`ansatz.apply_run`),
+which turns X^x Z^z into X^x Z^(z ^ x) up to phase. The rows an erring
+gate hit take its conjugation at once, gate by gate in circuit order: one
+phase multiply, the Pauli X^x Z^z up to a global phase as one sign
+multiply and one gather, and the phase back (Pauli-frame sampling: Knill
+2005; Gidney, arXiv:2103.02202). In a run of single-site X rotations an
+error sits on its gate's site, which no later gate of the run touches, so
+its S_e is the held P alone. Any other generator is a run of one gate.
 
 Amplification folds trailing two-qubit gates G -> G G^dag G, which leaves
 the noiseless circuit exact while multiplying its noise exposure. With n2
@@ -46,11 +47,10 @@ import numpy as np
 
 from .ansatz import AnsatzSpec, apply_run, circuit_pass, gate_runs, gates as ansatz_gates
 from .measure import EstimateRecord
-from .paulis import PauliString, WeightedPauliSum, parity_signs
-from .statevector import RotationGate, plus_state, sum_expectation_raw
+from .paulis import PauliString, WeightedPauliSum
+from .statevector import RotationGate, _zsigns, plus_state, sum_expectation_raw
 
 _LETTERS = ("I", "X", "Y", "Z")
-FRAME_BYTES = 1 << 19  # erring rows per frame pass: 512 KB of state
 CHUNK = 2048  # trajectories per error-record draw; chunk k draws from [seed, stream, k]
 
 
@@ -193,27 +193,6 @@ def _error_records(rng, rows: int, noisy) -> dict:
     return records
 
 
-def _apply_frame(B, at, x, z, flips, factors) -> None:
-    """In place on the rows B[at]: for each gate j that a row's frame flipped
-    (flips[row, j] set), the correction factors[j]; then the row's Pauli
-    X^x Z^z, up to a global phase, as one sign multiply and one gather. Rows
-    go through in groups of at most FRAME_BYTES, which bounds the
-    temporaries."""
-    dim = B.shape[1]
-    step = max(1, FRAME_BYTES // B[0].nbytes)
-    flat = np.arange(step * dim).reshape(step, dim)  # row r, index i: r dim + i
-    for r in range(0, at.size, step):
-        g = slice(r, r + step)
-        sel = at[g]
-        rows = B[sel]
-        for i, j in zip(*np.nonzero(flips[g])):
-            rows[i] *= factors[j]
-        # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
-        # it to i ^ x, which within row r is flat index (r dim + i) ^ x
-        rows *= parity_signs(z[g], dim)
-        B[sel] = rows.take(flat[: sel.size] ^ x[g, None])
-
-
 def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
                        trajectories: int, seed: int, stream: int) -> np.ndarray:
     """Every trajectory's <obs>, in row order across chunks of CHUNK."""
@@ -234,6 +213,8 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
     noisy = [(p, prob, _error_masks(g.generator))
              for p, (prob, g) in enumerate(zip(probs, circuit.gates)) if prob > 0]
     base = plus_state(L).amplitudes
+    dim = base.size
+    flip = np.arange(dim)
 
     total = 0
     pieces = []
@@ -248,11 +229,11 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
         order = np.concatenate(joins) if joins else np.empty(0, dtype=np.intp)
         pos = np.empty(rows, dtype=np.intp)
         pos[order] = np.arange(1, order.size + 1)
-        B = np.empty((order.size + 1, base.size), dtype=np.complex128)
+        B = np.empty((order.size + 1, dim), dtype=np.complex128)
         B[0] = base
         live = 1
         for run in runs:
-            _, start, stop, keys = run
+            _, start, stop, _, (_, after) = run
             # per noisy gate that hit a row: (its position in the run + 1, record)
             hits = [(p + 1 - start, *records[p]) for p in range(start, stop) if p in records]
             # rows that first err in this run join as the clean row at its start
@@ -262,26 +243,23 @@ def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseMode
             signs = apply_run(B[:live], run, angles[start:stop], L)
             if not hits:
                 continue
-            # each erring row's frame: the product of its errors in the run,
-            # and the angles of the later diagonal gates whose sign that
-            # frame flipped. An error in an X run sits on its gate's site,
-            # which no later gate of the run touches.
-            erred = np.unique(np.concatenate([h[1] for h in hits]))
-            x = np.zeros(erred.size, dtype=np.int64)
-            z = np.zeros(erred.size, dtype=np.int64)
-            zmasks = np.array(keys if signs is not None else (), dtype=np.int64)
-            flips = np.zeros((erred.size, zmasks.size), dtype=np.uint8)
-            for end, hit_rows, _, ex, ez in hits:
-                k = np.searchsorted(erred, hit_rows)
-                x[k] ^= ex
-                z[k] ^= ez
-                flips[k, end:] ^= np.bitwise_count(ex[:, None] & zmasks[end:]) & 1
-            factors = None
+            # each erring gate's rows take S E S^dag, S = exp(-i later[end])
+            # times the P the rows hold when `after` is set
             if signs is not None:
-                # a flipped gate exp(+i t s) is exp(-i t s) times exp(2i t s)
-                turn = np.exp(2j * angles[start:stop])[:, None]
-                factors = np.where(signs > 0, turn, turn.conj())
-            _apply_frame(B, pos[erred], x, z, flips, factors)
+                later = np.cumsum((angles[start:stop, None] * signs)[::-1], axis=0)[::-1]
+            for end, hit_rows, _, ex, ez in hits:
+                at = pos[hit_rows]
+                erring = B[at]
+                S = np.exp(-1j * later[end]) if signs is not None and end < len(signs) else None
+                if S is not None:
+                    erring *= S.conj()
+                # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then
+                # moves it to i ^ x, which within row r is flat index r dim + i ^ x
+                erring *= np.array([_zsigns(z, dim) for z in (ez ^ ex if after else ez).tolist()])
+                erring = erring.take(np.arange(at.size)[:, None] * dim + (flip ^ ex[:, None]))
+                if S is not None:
+                    erring *= S
+                B[at] = erring
         values = sum_expectation_raw(B, obs)
         piece = np.full(rows, values[0])  # rows that never err
         piece[order] = values[1:]

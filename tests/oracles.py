@@ -9,7 +9,7 @@ matrix, and its ground state comes from ARPACK's Lanczos (`eigsh`), which
 reaches past the sizes a dense eigensolver can afford.
 Site 0 is the least significant bit, matching the package convention.
 """
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -336,46 +336,58 @@ def ancilla_test_means(L, N, boundary, params, terms):
     return out
 
 
+def _chain(L):
+    """`kron_chain` up to L = 6, where dense products are the faster, and
+    `sparse_chain` beyond: at L = 10 one gate's 15 dense error matrices
+    would take 240 MB."""
+    return kron_chain if L <= 6 else sparse_chain
+
+
+@lru_cache(maxsize=32)
 def _gate_errors(generator, L):
     """The 15 (3 for one site) non-identity Paulis on the generator support,
     in the trajectory engine's pick order: the lower site's letter outer,
     over I, X, Y, Z."""
     sites = sorted(generator.ops)
     letters = "IXYZ"
+    chain = _chain(L)
     if len(sites) == 1:
-        return [kron_chain({sites[0]: la}, L) for la in letters[1:]]
+        return [chain({sites[0]: la}, L) for la in letters[1:]]
     a, b = sites
-    return [kron_chain({s: l for s, l in ((a, la), (b, lb)) if l != "I"}, L)
+    return [chain({s: l for s, l in ((a, la), (b, lb)) if l != "I"}, L)
             for la in letters for lb in letters if la + lb != "II"]
 
 
-def _dense_gates(circuit, p2, p1):
+def _gate_matrices(circuit, p2, p1):
     """(U, p, error matrices) per gate; p2 on two-site gates, p1 otherwise."""
     L = circuit.n_qubits
+    chain = _chain(L)
+    eye = chain({}, L)
     out = []
     for g in circuit.gates:
         gen = g.generator
         p = p2 if len(gen.ops) == 2 else p1
-        U = dense_rotation(kron_chain(gen.ops, L), g.angle)
+        U = np.cos(g.angle) * eye - 1j * np.sin(g.angle) * chain(gen.ops, L)
         out.append((U, p, _gate_errors(gen, L) if p > 0 else None))
     return out
 
 
-def _dense_observable(obs):
-    """Dense matrix of a WeightedPauliSum from its letters-form terms."""
+def _observable_matrix(obs):
+    """Matrix of a WeightedPauliSum from its letters-form terms."""
     L = obs.n_qubits
-    return sum(c * kron_chain(s.ops, L) for c, s in obs.terms())
+    return sum(c * _chain(L)(s.ops, L) for c, s in obs.terms())
 
 
 def trajectory_values(circuit, obs, p2, p1, trajectories, seed=0, stream=0, chunk=2048):
     """Per-trajectory <obs> values of the stochastic-Pauli trajectory
-    estimator, one row and one gate at a time with dense matrices.
+    estimator, one row and one gate at a time with dense matrices (sparse
+    past L = 6).
 
     Chunk c draws from default_rng([seed, stream, c]) in circuit order: per
     noisy gate, uniform(rows) against p, then integers(0, n_errors, n_hit)
     for the hit rows in ascending row order."""
-    gates = _dense_gates(circuit, p2, p1)
-    O = _dense_observable(obs)
+    gates = _gate_matrices(circuit, p2, p1)
+    O = _observable_matrix(obs)
     dim = 2**circuit.n_qubits
     values = []
     done = 0
@@ -408,8 +420,8 @@ def channel_expectation(circuit, obs, p2, p1=0.0):
     non-identity Paulis E on the gate's support."""
     dim = 2**circuit.n_qubits
     rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    for U, p, errors in _dense_gates(circuit, p2, p1):
+    for U, p, errors in _gate_matrices(circuit, p2, p1):
         rho = U @ rho @ U.conj().T
         if errors is not None:
             rho = (1 - p) * rho + (p / len(errors)) * sum(E @ rho @ E for E in errors)
-    return float(np.real(np.trace(_dense_observable(obs) @ rho)))
+    return float(np.real(np.trace(_observable_matrix(obs) @ rho)))

@@ -1,9 +1,13 @@
 """Layered circuit: ordering, counts, the fused kernel, periodicity."""
+import sys
+
 import numpy as np
 import pytest
 
+from isingdefect import ansatz, zne
 from isingdefect.ansatz import (
     AnsatzSpec,
+    circuit_pass,
     derivative_sweep,
     gate_generators,
     gate_runs,
@@ -12,6 +16,7 @@ from isingdefect.ansatz import (
     parameter_count,
     prepare_state,
 )
+from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.paulis import PauliString
 from isingdefect.qng import derivative_state
 from isingdefect.statevector import plus_state
@@ -58,6 +63,23 @@ def test_gate_runs_merge_commuting_gates():
     assert runs[1][3] == (1, 2) and runs[2][3] == (1,)
     assert [run[3] for run in runs[3:5]] == [(gens[5],), (gens[6],)]
     assert runs[5][3] == (0b001, 0b110)
+    # each side where a Z run meets an X run shares that X run's P
+    assert [run[4] for run in runs] == [
+        (False, True), (True, False), (False, False), (False, False), (False, False),
+        (False, True), (True, False)]
+
+
+def test_derivatives_refuse_a_generic_run_before_any_work(monkeypatch):
+    ops = [{0: "Z", 1: "Z"}, {1: "Y"}, {0: "X"}]
+    runs = gate_runs([PauliString.from_ops(o) for o in ops])
+    assert circuit_pass(runs, [0.3, 0.4, 0.5], 2).shape == (1, 4)
+
+    def no_work(*args):
+        raise AssertionError("a run was applied before the check")
+
+    monkeypatch.setattr(ansatz, "apply_run", no_work)
+    with pytest.raises(ValueError, match=r"gate 1 \(1:Y\)"):
+        circuit_pass(runs, [0.3, 0.4, 0.5], 2, derivatives=True)
 
 
 def test_open_chain_drops_wrap_bond():
@@ -102,7 +124,8 @@ def test_fused_kernel_matches_dense_oracle(L, boundary):
         assert np.max(np.abs(got - want_psi)) < 1e-12
 
 
-@pytest.mark.parametrize("L, N", [(8, 4), (12, 1)])  # 2 and 3 Kronecker factors
+# Kronecker factors of 4+4, 4+5, 5+5, 3+4+4 and 4+4+4 sites
+@pytest.mark.parametrize("L, N", [(8, 4), (9, 2), (10, 2), (11, 1), (12, 1)])
 def test_fused_sweep_matches_single_parameter_route(L, N):
     spec = AnsatzSpec(L=L, N=N, boundary="periodic")
     params = np.random.default_rng(L).uniform(-np.pi, np.pi, parameter_count(spec))
@@ -111,6 +134,35 @@ def test_fused_sweep_matches_single_parameter_route(L, N):
     for p in range(parameter_count(spec)):
         want = derivative_state(spec, params, p).amplitudes
         assert np.max(np.abs(D[p] - want)) < 1e-12
+
+
+def test_x_block_products_are_real_and_single_threaded(monkeypatch):
+    # OpenBLAS on a 2-core host splits a zgemm over two threads from
+    # m n k = 65,536 multiply-adds and a dgemm from 262,144. A complex X block
+    # crossed the first at L=12: the L=12 ring sweep then ran at a process
+    # CPU/wall ratio of 1.99 at 2 threads, and slower than at 1. A real
+    # product of at most 131,072 multiply-adds stays on the calling thread.
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if sys._getframe(1).f_code is ansatz._x_block.__code__:
+            products.append((a.dtype, b.dtype, a.shape[-2] * a.shape[-1] * b.shape[-1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for L in range(2, 13):
+        for boundary in ("open", "periodic"):
+            spec = AnsatzSpec(L=L, N=1, boundary=boundary)
+            params = init_params(spec, seed=L)
+            derivative_sweep(spec, params)
+            H = build_hamiltonian(ModelParams(L=L, b=L % 2, v=0.7))
+            zne._trajectory_values(zne.ansatz_circuit(spec, params), H,
+                                   zne.NoiseModel(p2=0.2, p1=0.1), 40, L, 0)
+            assert products
+            assert all(a == b == np.float64 for a, b, _ in products)
+            assert max(macs for _, _, macs in products) <= 131_072
+            products.clear()
 
 
 def test_angle_shift_by_two_pi_is_identity():

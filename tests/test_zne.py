@@ -267,28 +267,42 @@ def test_noisy_expectation_matches_trajectory_oracle(L, factor):
             _assert_matches_trajectory_oracle(circ, H, noise, 30, chunk, seed=L)
 
 
-def test_generic_generators_match_trajectory_oracle():
-    # Y and XX rotations take the gate-by-gate path between fused runs
-    gates = (
-        RotationGate(PauliString.from_ops({0: "Z", 1: "Z"}), 0.4),
-        RotationGate(PauliString.from_ops({1: "Y"}), 0.9),
-        RotationGate(PauliString.from_ops({0: "X"}), -0.3),
-        RotationGate(PauliString.from_ops({2: "X"}), 0.6),
-        RotationGate(PauliString.from_ops({0: "X", 2: "X"}), 1.1),
-        RotationGate(PauliString.from_ops({2: "Z"}), 0.2),
-        RotationGate(PauliString.from_ops({1: "Z", 2: "Z"}), -0.7),
-        RotationGate(PauliString.from_ops({1: "X"}), 0.5),
-    )
-    circ = Circuit(3, gates)
+def _gate(ops, angle):
+    return RotationGate(PauliString.from_ops(ops), angle)
+
+
+def _assert_generic_circuit_matches_trajectory_oracle(gates, chunks):
+    circ = Circuit(3, tuple(_gate(ops, angle) for ops, angle in gates))
     H = build_hamiltonian(ModelParams(L=3, b=1, v=0.7))
-    for chunk in (1, 7, 512):
+    for chunk in chunks:
         for noise in _NOISES:
             _assert_matches_trajectory_oracle(circ, H, noise, 40, chunk, seed=4)
     clean = oracles.channel_expectation(circ, H, 0.0)
     assert noiseless_expectation(circ, H) == pytest.approx(clean, abs=1e-12)
 
 
-@pytest.mark.parametrize("L, boundary, v", [(6, "open", 4.0), (5, "periodic", 0.7)])
+def test_generic_generators_match_trajectory_oracle():
+    # Y and XX rotations take the gate-by-gate path between fused runs
+    _assert_generic_circuit_matches_trajectory_oracle(
+        (({0: "Z", 1: "Z"}, 0.4), ({1: "Y"}, 0.9), ({0: "X"}, -0.3), ({2: "X"}, 0.6),
+         ({0: "X", 2: "X"}, 1.1), ({2: "Z"}, 0.2), ({1: "Z", 2: "Z"}, -0.7), ({1: "X"}, 0.5)),
+        (1, 7, 512))
+
+
+def test_x_runs_meet_their_phase_on_every_side():
+    # an X run is P R P with P = S^dag on every site, and a Z run it meets
+    # applies its P; here X runs sit at both ends, two meet (site 1
+    # repeats), one sits between Z runs and one precedes a Y run
+    _assert_generic_circuit_matches_trajectory_oracle(
+        (({0: "X"}, 0.3), ({1: "X"}, -0.5), ({1: "X"}, 0.7), ({2: "X"}, 0.4),
+         ({0: "Z", 1: "Z"}, 0.6), ({2: "Z"}, -0.2), ({0: "X"}, -0.8), ({1: "Y"}, 0.9),
+         ({1: "Z", 2: "Z"}, -0.4), ({0: "Z"}, 0.5), ({2: "X"}, 1.1), ({0: "X"}, -0.6)),
+        (1, 7))
+
+
+# L = 11 splits each X run into Kronecker factors of 3+4+4 sites
+@pytest.mark.parametrize("L, boundary, v", [(6, "open", 4.0), (5, "periodic", 0.7),
+                                            (11, "periodic", 0.7)])
 def test_frames_of_several_errors_match_trajectory_oracle(L, boundary, v):
     # angles 100x the default init keep every phase far from 1; at p2 = 0.9
     # a row errs several times inside one diagonal segment, and on the ring
