@@ -10,21 +10,22 @@ Parameters are ordered exactly as the gates fire, layer by layer:
 bond count (L-1 open, L periodic, the wrap bond Z_L Z_1 last). One angle per
 gate, R(t) = exp(-i t G), so the count is (3L-1)N open and 3LN periodic.
 
-One circuit pass, `circuit_pass`, runs block by block, and `apply_run` is
-the one executor of a block. Consecutive gates that commute form one block
-(`gate_runs`, which `zne` shares for folded gate lists): a diagonal block
-(the Z fields of layer a with the ZZ bonds of layer a+1) is one
-phase-vector multiply exp(-i sum_p t_p s_p). An X block (one X rotation
-per site) is P R P, with P = S^dag on every site and R = prod_i (cos t_i
-Z_i + sin t_i X_i) real: a few Kronecker factors of at most FACTOR_SITES
-adjacent sites, applied by real matmul on the float64 view. A diagonal
-block next to an X block multiplies that block's P into its phase vector,
-so between the two the rows hold P or P^dag times the state. A derivative
-insertion -i O_p commutes with the rest of its block, so
+Every gate is a rotation about a Z string on one or two sites or about X on
+one site; `gate_runs` refuses any other. One circuit pass, `circuit_pass`,
+runs block by block, and `apply_run` is the one executor of a block.
+Consecutive gates that commute form one block (`gate_runs`, which `zne`
+shares for folded gate lists): a diagonal block (the Z fields of layer a
+with the ZZ bonds of layer a+1) is one phase-vector multiply
+exp(-i sum_p t_p s_p). An X block is P R P, with P = S^dag on every site and
+R = prod_i (cos t_i Z_i + sin t_i X_i) real: a few Kronecker factors of at
+most FACTOR_SITES adjacent sites, applied by real matmul on the float64
+view. A diagonal block next to an X block multiplies that block's P into its
+phase vector, so between the two the rows hold P or P^dag times the state. A
+derivative insertion -i O_p commutes with the rest of its block, so
 `derivative_sweep` writes all of a block's derivative rows at once, at the
 block's end: from the sign rows `apply_run` returns for a diagonal block,
-and for an X block as one gather, X_s Z_s psi while the rows hold P^dag
-and -i X_s psi otherwise.
+and for an X block as one gather, X_s Z_s psi while the rows hold P^dag and
+-i X_s psi otherwise.
 """
 from __future__ import annotations
 
@@ -34,13 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paulis import PauliString, parity_signs
-from .statevector import (
-    RotationGate,
-    StateVector,
-    _zsigns,
-    plus_state,
-    rotation_apply_raw,
-)
+from .statevector import RotationGate, StateVector, _zsigns, plus_state
 
 _BOUNDARIES = ("open", "periodic")
 FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
@@ -92,27 +87,28 @@ def gates(spec: AnsatzSpec, params) -> list[RotationGate]:
 
 def gate_runs(generators) -> tuple:
     """Maximal runs of commuting gates as (kind, start, stop, keys, shared):
-    kind "z" for consecutive diagonal gates (keys: Z masks), "x" for
-    single-site X gates on distinct sites (keys: sites; a repeated site
-    starts a new run), "g" for any other generator, one gate per run (keys:
-    the generator). An X run is P R P with P = S^dag on every site (see
-    `_x_block`); shared = (before, after) marks each side where a Z run and
-    an X run meet, and there the Z run applies the X run's P."""
+    kind "z" for consecutive Z strings on one or two sites (keys: Z masks),
+    "x" for single-site X gates on distinct sites (keys: sites; a repeated
+    site starts a new run). Any other generator is refused. An X run is
+    P R P with P = S^dag on every site (see `_x_block`); shared = (before,
+    after) marks each side where it meets a Z run, and there the Z run
+    applies the X run's P."""
     runs = []
     for p, g in enumerate(generators):
-        if g.x == 0:
+        if g.x == 0 and 1 <= g.z.bit_count() <= 2:
             kind, key = "z", g.z
         elif g.z == 0 and g.x.bit_count() == 1:
             kind, key = "x", g.x.bit_length() - 1
         else:
-            kind, key = "g", g
+            raise ValueError(f"gate {p} ({g!r}) is neither a Z rotation on one or two "
+                             f"sites nor an X rotation on one site")
         last = runs[-1] if runs else None
-        if last and last[0] == kind != "g" and (kind == "z" or key not in last[3]):
+        if last and last[0] == kind and (kind == "z" or key not in last[3]):
             last[2] = p + 1
             last[3].append(key)
         else:
             runs.append([kind, p, p + 1, [key]])
-    meets = [False] + [{a[0], b[0]} == {"z", "x"} for a, b in zip(runs, runs[1:])] + [False]
+    meets = [False] + [a[0] != b[0] for a, b in zip(runs, runs[1:])] + [False]
     return tuple((kind, start, stop, tuple(keys), (meets[i], meets[i + 1]))
                  for i, (kind, start, stop, keys) in enumerate(runs))
 
@@ -216,33 +212,25 @@ def _z_block(batch, keys, angles, dim: int, turns: int) -> np.ndarray:
 def apply_run(batch, run, angles, L: int):
     """In-place gates of one `gate_runs` run on a raw (rows, 2^L) batch;
     `angles` are the run's angles in firing order. Returns a diagonal run's
-    sign rows s_p, and None for any other run. A Z run applies the P of the
-    X runs it meets, so across such a meeting the rows hold P or P^dag."""
+    sign rows s_p, and None for an X run. A Z run applies the P of the X
+    runs it meets, so across such a meeting the rows hold P or P^dag."""
     kind, _, _, keys, (before, after) = run
     if kind == "z":
         return _z_block(batch, keys, angles, 1 << L, before + after)
-    if kind == "x":
-        if not before:
-            batch *= _s_dagger(1 << L)
-        _x_block(batch, keys, angles, L)
-        if not after:
-            batch *= _s_dagger(1 << L)
-    else:
-        rotation_apply_raw(batch, RotationGate(keys[0], float(angles[0])))
+    if not before:
+        batch *= _s_dagger(1 << L)
+    _x_block(batch, keys, angles, L)
+    if not after:
+        batch *= _s_dagger(1 << L)
     return None
 
 
 def circuit_pass(runs, angles, L: int, derivatives: bool = False) -> np.ndarray:
     """Run by run over |+>: row 0 is U|+>. With derivatives, row p+1 is
-    U_>p (-i O_p) U_<=p |+>, for runs of Z and single-site X gates."""
+    U_>p (-i O_p) U_<=p |+>."""
     angles = np.asarray(angles, dtype=np.float64)
     if len(angles) != sum(run[2] - run[1] for run in runs):
         raise ValueError("parameter count mismatch")
-    if derivatives:
-        for kind, start, _, keys, _ in runs:
-            if kind == "g":
-                raise ValueError(f"derivatives need Z and single-site X runs; gate "
-                                 f"{start} ({keys[0]!r}) is neither")
     dim = 1 << L
     batch = np.empty((len(angles) + 1 if derivatives else 1, dim), dtype=np.complex128)
     batch[0] = plus_state(L).amplitudes

@@ -45,7 +45,8 @@ from .observables import correlator_profile_shot, ybar_exact, ybar_shots
 from .paulis import DENSE_LIMIT, dense_matrix
 from .qng import OptimizeOptions, optimize
 from .statevector import pauli_expectation
-from .zne import CHUNK, NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, zne_pipeline
+from .zne import (NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, trajectory_bytes,
+                  zne_pipeline)
 
 KINDS = ("optimize", "correlator", "ybar", "energy-scan", "zne")
 STATEVECTOR_LIMIT = 14  # circuit kinds hold 2^L amplitudes per derivative state
@@ -194,21 +195,19 @@ def validate(config: ExperimentConfig) -> list:
         if circuit_kind:
             spec = check(f"L={L}: ", AnsatzSpec, L, L // 2 if config.N is None else config.N,
                          "periodic" if config.b == 1 else "open")
-            if spec and schedule:  # the fit needs enough distinct folded factors
-                check(f"L={L}: ", fold_schedule,
-                      ansatz_circuit(spec, np.zeros(parameter_count(spec))), schedule)
+            # the fit needs enough distinct folded factors, and the most
+            # folded circuit's trajectories need the most memory
+            fold = spec and schedule and check(
+                f"L={L}: ", fold_schedule,
+                ansatz_circuit(spec, np.zeros(parameter_count(spec))), schedule)
             if spec and L <= STATEVECTOR_LIMIT:
                 P = parameter_count(spec)
                 need = 16 * (P + 1) * 2**L + 8 * P**2  # derivative batch and metric
                 what = (f"optimize needs {need / 2**30:.3g} GiB for {P + 1} states "
                         f"and a {P} x {P} metric")
-                # zne's trajectory batch: up to CHUNK rows and the clean row, and a
-                # copy while a term that is neither diagonal nor one X is applied
-                rows = min(CHUNK, config.trajectories) + 1
-                if config.kind == "zne" and 32 * rows * 2**L > need:
-                    need = 32 * rows * 2**L
-                    what = (f"zne needs {need / 2**30:.3g} GiB for {rows} trajectory "
-                            f"states and their copy")
+                if fold and trajectory_bytes(fold[0][-1], config.trajectories) > need:
+                    need = trajectory_bytes(fold[0][-1], config.trajectories)
+                    what = f"zne needs {need / 2**30:.3g} GiB for its trajectories"
                 if need > memory:
                     diags.append(f"L={L}: {what}; physical memory is {memory / 2**30:.3g} GiB")
         for v in config.v:

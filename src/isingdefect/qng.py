@@ -107,11 +107,14 @@ class OptimizerState:
     iteration: int = 0
     energy: float = math.nan
     grad_norm: float = math.nan
-    converged: bool = False
     # why optimize stopped: rel_tol, grad_tol, max_iters, or rejected (set by
     # qng_step, which then leaves the rest of the state as it was, when the
     # full step and all 8 halvings raise the energy)
     stop_reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("rel_tol", "grad_tol")
 
 
 def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> OptimizerState:
@@ -202,9 +205,9 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         rel = abs(energy - target) / abs(target)
         trace.append(TraceRow(state.iteration, energy, state.grad_norm, rel))
         if rel < REL_TOL:
-            state.converged, state.stop_reason = True, "rel_tol"
+            state.stop_reason = "rel_tol"
         elif state.grad_norm < GRAD_TOL:
-            state.converged, state.stop_reason = True, "grad_tol"
+            state.stop_reason = "grad_tol"
         elif len(trace) == opts.max_iters:
             state.stop_reason = "max_iters"
         else:

@@ -1,12 +1,13 @@
 """Noise injection, gate folding, and zero-noise extrapolation.
 
+A circuit's gates are rotations about a Z string on one or two sites or
+about X on one site, inside its register; `Circuit` refuses any other.
 Noise is stochastic-Pauli (depolarizing) per two-qubit gate: after the gate
 fires, with probability p2 one of the 15 non-identity two-qubit Paulis on the
 gate's support is applied, drawn uniformly (p1 and the 3 one-site Paulis for
-single-qubit gates; a gate on any other number of sites needs p1 = 0). The
-channel average is estimated by trajectory Monte Carlo, each trajectory
-sampling its own error record, and the observable is averaged across
-trajectories. Density matrices at 4^L are never formed.
+one-site gates). The channel average is estimated by trajectory Monte Carlo,
+each trajectory sampling its own error record, and the observable is
+averaged across trajectories. Density matrices at 4^L are never formed.
 
 Error records come first. A chunk of trajectories draws every record
 before any state evolves, in circuit order: per noisy gate, one uniform per
@@ -23,12 +24,13 @@ run made, S_e being every phase the run applies after gate e: the later
 diagonal gates, exp(-i sum_{j>e} t_j s_j), and the P = S^dag on every site
 that the rows still hold where a Z run meets an X run (`ansatz.apply_run`),
 which turns X^x Z^z into X^x Z^(z ^ x) up to phase. The rows an erring
-gate hit take its conjugation at once, gate by gate in circuit order: one
-phase multiply, the Pauli X^x Z^z up to a global phase as one sign
-multiply and one gather, and the phase back (Pauli-frame sampling: Knill
-2005; Gidney, arXiv:2103.02202). In a run of single-site X rotations an
-error sits on its gate's site, which no later gate of the run touches, so
-its S_e is the held P alone. Any other generator is a run of one gate.
+gate hit take its conjugation together, gate by gate in circuit order and
+`ansatz.GROUP_BYTES` of rows at a time (`_frame`): one phase multiply, the
+Pauli X^x Z^z up to a global phase as one sign multiply and one gather, and
+the phase back (Pauli-frame sampling: Knill 2005; Gidney,
+arXiv:2103.02202). In a run of single-site X rotations an error sits on its
+gate's site, which no later gate of the run touches, so its S_e is the held
+P alone. `trajectory_bytes` bounds the memory this takes.
 
 Amplification folds trailing two-qubit gates G -> G G^dag G, which leaves
 the noiseless circuit exact while multiplying its noise exposure. With n2
@@ -45,7 +47,8 @@ from itertools import product
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, apply_run, circuit_pass, gate_runs, gates as ansatz_gates
+from .ansatz import GROUP_BYTES, AnsatzSpec, apply_run, circuit_pass, gate_runs
+from .ansatz import gates as ansatz_gates
 from .measure import EstimateRecord
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import RotationGate, _zsigns, plus_state, sum_expectation_raw
@@ -92,6 +95,12 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        for p, g in enumerate(self.gates):
+            if g.generator.max_site() >= self.n_qubits:
+                raise ValueError(f"gate {p} ({g.generator!r}) acts outside the "
+                                 f"{self.n_qubits}-qubit register")
+        # its `ansatz.gate_runs`, which refuse a generator outside the gate set
+        object.__setattr__(self, "_runs", gate_runs(g.generator for g in self.gates))
 
     @property
     def two_qubit_count(self) -> int:
@@ -112,23 +121,15 @@ def fold_gates(circuit: Circuit, factor: float) -> Circuit:
     if factor < 1:
         raise ValueError("noise factor must be >= 1")
     idx2 = [i for i, g in enumerate(circuit.gates) if _weight(g) == 2]
-    n2 = len(idx2)
-    if n2 == 0:
-        return circuit
-    k = int((factor - 1) * n2 / 2 + 0.5)
+    k = int((factor - 1) * len(idx2) / 2 + 0.5)
     if k == 0:
         return circuit
-    rounds, extra = divmod(k, n2)
+    rounds, extra = divmod(k, len(idx2))
     # the `extra` trailing two-qubit gates get one additional fold
-    folds = {}
-    for rank, i in enumerate(reversed(idx2)):
-        folds[i] = rounds + (1 if rank < extra else 0)
+    folds = {i: rounds + (rank < extra) for rank, i in enumerate(reversed(idx2))}
     out = []
     for i, g in enumerate(circuit.gates):
-        out.append(g)
-        for _ in range(folds.get(i, 0)):
-            out.append(g.inverse())
-            out.append(g)
+        out += [g] + [g.inverse(), g] * folds.get(i, 0)
     return Circuit(circuit.n_qubits, tuple(out))
 
 
@@ -148,16 +149,10 @@ def fold_schedule(circuit: Circuit, schedule: ZneSchedule) -> tuple:
     return folded, achieved
 
 
-def _runs_and_angles(circuit: Circuit):
-    """`ansatz.gate_runs` of the circuit's generators, and its angles."""
-    return (gate_runs([g.generator for g in circuit.gates]),
-            np.array([g.angle for g in circuit.gates], dtype=np.float64))
-
-
 def noiseless_expectation(circuit: Circuit, obs: WeightedPauliSum) -> float:
     if obs.n_qubits != circuit.n_qubits:
         raise ValueError("register size mismatch")
-    amps = circuit_pass(*_runs_and_angles(circuit), circuit.n_qubits)[0]
+    amps = circuit_pass(circuit._runs, [g.angle for g in circuit.gates], circuit.n_qubits)[0]
     return float(sum_expectation_raw(amps, obs))
 
 
@@ -193,79 +188,92 @@ def _error_records(rng, rows: int, noisy) -> dict:
     return records
 
 
+def _frame(B, at, S, xs, zs) -> None:
+    """Rows B[at] <- S X^x Z^z S^dag B[at], each row its own masks, up to
+    global phases (S None is 1), in slices of at most GROUP_BYTES of rows;
+    the last slice's temporaries go on return."""
+    dim = B.shape[1]
+    step = max(1, GROUP_BYTES // B[0].nbytes)
+    for lo in range(0, at.size, step):
+        rows, part = at[lo : lo + step], slice(lo, lo + step)
+        erring = B[rows]
+        if S is not None:
+            erring *= S.conj()
+        # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
+        # it to i ^ x, which within row r is flat index r dim + i ^ x
+        erring *= np.array([_zsigns(z, dim) for z in zs[part].tolist()])
+        erring = erring.take(np.arange(rows.size)[:, None] * dim
+                             + (np.arange(dim) ^ xs[part, None]))
+        if S is not None:
+            erring *= S
+        B[rows] = erring
+
+
+def trajectory_bytes(circuit: Circuit, trajectories: int) -> int:
+    """Bytes `_trajectory_values` holds at most: a batch of min(CHUNK, T) + 1
+    rows, then one batch-sized copy (to read an observable term neither
+    diagonal nor one X) or under 3 GROUP_BYTES of `_frame` and X-run
+    temporaries; per gate, 32 per row (error records) and 48 per amplitude
+    (its run's sign rows, their sums, cached signs); 16 per value."""
+    rows = min(CHUNK, trajectories)
+    batch = 16 * (rows + 1) << circuit.n_qubits
+    return (batch + max(batch, 3 * GROUP_BYTES) + 16 * trajectories
+            + len(circuit.gates) * (32 * rows + (48 << circuit.n_qubits)))
+
+
+def _chunk_values(circuit: Circuit, obs: WeightedPauliSum, records: dict, rows: int):
+    """The <obs> of `rows` trajectories with these error records; all it
+    holds goes on return, before the next chunk draws its records."""
+    L, angles = circuit.n_qubits, np.array([g.angle for g in circuit.gates], dtype=np.float64)
+    # B[0] is the clean trajectory; row r enters B[pos[r]] as a copy of it
+    # at its first error, rows entering in order of first error, and a row
+    # that never errs reads B[0]
+    joins = [first for _, first, _, _ in records.values()]
+    order = np.concatenate(joins) if joins else np.empty(0, dtype=np.intp)
+    pos = np.zeros(rows, dtype=np.intp)
+    pos[order] = np.arange(1, order.size + 1)
+    B = np.empty((order.size + 1, 1 << L), dtype=np.complex128)
+    B[0] = plus_state(L).amplitudes
+    live = 1
+    for run in circuit._runs:
+        _, start, stop, _, (_, after) = run
+        # per noisy gate that hit a row: (its position in the run + 1, record)
+        hits = [(p + 1 - start, *records[p]) for p in range(start, stop) if p in records]
+        # rows that first err in this run join as the clean row at its start
+        for _, _, first, _, _ in hits:
+            B[live : live + first.size] = B[0]
+            live += first.size
+        signs = apply_run(B[:live], run, angles[start:stop], L)
+        if not hits:
+            continue
+        # each erring gate's rows take S E S^dag, S = exp(-i later[end])
+        # times the P the rows hold when `after` is set
+        if signs is not None:
+            later = np.cumsum((angles[start:stop, None] * signs)[::-1], axis=0)[::-1]
+        for end, hit_rows, _, ex, ez in hits:
+            S = np.exp(-1j * later[end]) if signs is not None and end < len(signs) else None
+            _frame(B, pos[hit_rows], S, ex, ez ^ ex if after else ez)
+    return sum_expectation_raw(B, obs)[pos]
+
+
 def _trajectory_values(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel,
                        trajectories: int, seed: int, stream: int) -> np.ndarray:
-    """Every trajectory's <obs>, in row order across chunks of CHUNK."""
+    """Every trajectory's <obs>, in row order across chunks of CHUNK; chunk
+    k draws its error records from [seed, stream, k]."""
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     if not obs.is_hermitian():
         raise ValueError("observable must be hermitian")
     if obs.n_qubits != circuit.n_qubits:
         raise ValueError("register size mismatch")
-    L = circuit.n_qubits
-    weights = [_weight(g) for g in circuit.gates]
-    other = [w for w in weights if w not in (1, 2)]
-    if noise.p1 > 0 and other:
-        raise ValueError(f"p1 noise is defined on one-site gates, not on a "
-                         f"{other[0]}-site gate; run it with p1 = 0")
-    probs = [noise.p2 if w == 2 else noise.p1 for w in weights]
-    runs, angles = _runs_and_angles(circuit)
+    probs = [noise.p2 if _weight(g) == 2 else noise.p1 for g in circuit.gates]
     noisy = [(p, prob, _error_masks(g.generator))
              for p, (prob, g) in enumerate(zip(probs, circuit.gates)) if prob > 0]
-    base = plus_state(L).amplitudes
-    dim = base.size
-    flip = np.arange(dim)
-
-    total = 0
     pieces = []
-    chunk_index = 0
-    while total < trajectories:
-        rows = min(CHUNK, trajectories - total)
-        rng = np.random.default_rng([seed, stream, chunk_index])
-        records = _error_records(rng, rows, noisy)
-        # B[0] is the clean trajectory; row r enters B[pos[r]] as a copy of
-        # it at its first error, rows entering in order of first error
-        joins = [first for _, first, _, _ in records.values()]
-        order = np.concatenate(joins) if joins else np.empty(0, dtype=np.intp)
-        pos = np.empty(rows, dtype=np.intp)
-        pos[order] = np.arange(1, order.size + 1)
-        B = np.empty((order.size + 1, dim), dtype=np.complex128)
-        B[0] = base
-        live = 1
-        for run in runs:
-            _, start, stop, _, (_, after) = run
-            # per noisy gate that hit a row: (its position in the run + 1, record)
-            hits = [(p + 1 - start, *records[p]) for p in range(start, stop) if p in records]
-            # rows that first err in this run join as the clean row at its start
-            for _, _, first, _, _ in hits:
-                B[live : live + first.size] = B[0]
-                live += first.size
-            signs = apply_run(B[:live], run, angles[start:stop], L)
-            if not hits:
-                continue
-            # each erring gate's rows take S E S^dag, S = exp(-i later[end])
-            # times the P the rows hold when `after` is set
-            if signs is not None:
-                later = np.cumsum((angles[start:stop, None] * signs)[::-1], axis=0)[::-1]
-            for end, hit_rows, _, ex, ez in hits:
-                at = pos[hit_rows]
-                erring = B[at]
-                S = np.exp(-1j * later[end]) if signs is not None and end < len(signs) else None
-                if S is not None:
-                    erring *= S.conj()
-                # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then
-                # moves it to i ^ x, which within row r is flat index r dim + i ^ x
-                erring *= np.array([_zsigns(z, dim) for z in (ez ^ ex if after else ez).tolist()])
-                erring = erring.take(np.arange(at.size)[:, None] * dim + (flip ^ ex[:, None]))
-                if S is not None:
-                    erring *= S
-                B[at] = erring
-        values = sum_expectation_raw(B, obs)
-        piece = np.full(rows, values[0])  # rows that never err
-        piece[order] = values[1:]
-        pieces.append(piece)
-        total += rows
-        chunk_index += 1
+    for k, done in enumerate(range(0, trajectories, CHUNK)):
+        rows = min(CHUNK, trajectories - done)
+        rng = np.random.default_rng([seed, stream, k])
+        pieces.append(_chunk_values(circuit, obs, _error_records(rng, rows, noisy), rows))
     return np.concatenate(pieces)
 
 

@@ -1,4 +1,5 @@
 """Layered circuit: ordering, counts, the fused kernel, periodicity."""
+import re
 import sys
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from isingdefect import ansatz, zne
 from isingdefect.ansatz import (
     AnsatzSpec,
-    circuit_pass,
     derivative_sweep,
     gate_generators,
     gate_runs,
@@ -50,36 +50,26 @@ def test_layer_ordering():
 
 
 def test_gate_runs_merge_commuting_gates():
-    ops = [{0: "Z", 1: "Z"}, {2: "Z"}, {1: "X"}, {2: "X"}, {1: "X"}, {0: "Y"},
-           {0: "X", 1: "X"}, {0: "Z"}, {1: "Z", 2: "Z"}, {0: "X"}]
-    gens = [PauliString.from_ops(o) for o in ops]
-    runs = gate_runs(gens)
-    # Z and ZZ gates merge; X gates merge until a site repeats; a Y and an
-    # XX are each a run of their own
+    ops = [{0: "Z", 1: "Z"}, {2: "Z"}, {1: "X"}, {2: "X"}, {1: "X"}, {0: "Z"},
+           {0: "Z", 2: "Z"}, {0: "X"}]
+    runs = gate_runs([PauliString.from_ops(o) for o in ops])
+    # Z and ZZ gates merge; X gates merge until a site repeats
     assert [run[:3] for run in runs] == [
-        ("z", 0, 2), ("x", 2, 4), ("x", 4, 5), ("g", 5, 6), ("g", 6, 7),
-        ("z", 7, 9), ("x", 9, 10)]
+        ("z", 0, 2), ("x", 2, 4), ("x", 4, 5), ("z", 5, 7), ("x", 7, 8)]
     assert runs[0][3] == (0b011, 0b100)
     assert runs[1][3] == (1, 2) and runs[2][3] == (1,)
-    assert [run[3] for run in runs[3:5]] == [(gens[5],), (gens[6],)]
-    assert runs[5][3] == (0b001, 0b110)
+    assert runs[3][3] == (0b001, 0b101)
     # each side where a Z run meets an X run shares that X run's P
     assert [run[4] for run in runs] == [
-        (False, True), (True, False), (False, False), (False, False), (False, False),
-        (False, True), (True, False)]
+        (False, True), (True, False), (False, True), (True, True), (True, False)]
 
 
-def test_derivatives_refuse_a_generic_run_before_any_work(monkeypatch):
-    ops = [{0: "Z", 1: "Z"}, {1: "Y"}, {0: "X"}]
-    runs = gate_runs([PauliString.from_ops(o) for o in ops])
-    assert circuit_pass(runs, [0.3, 0.4, 0.5], 2).shape == (1, 4)
-
-    def no_work(*args):
-        raise AssertionError("a run was applied before the check")
-
-    monkeypatch.setattr(ansatz, "apply_run", no_work)
-    with pytest.raises(ValueError, match=r"gate 1 \(1:Y\)"):
-        circuit_pass(runs, [0.3, 0.4, 0.5], 2, derivatives=True)
+def test_gate_runs_refuse_generators_outside_the_gate_set():
+    for ops in ({1: "Y"}, {0: "X", 1: "X"}, {0: "Z", 1: "Z", 2: "Z"}, {}, {0: "Z", 1: "X"}):
+        gens = [PauliString.from_ops({0: "X"}), PauliString.from_ops(ops)]
+        label = re.escape(repr(gens[1]))
+        with pytest.raises(ValueError, match=rf"gate 1 \({label}\) is neither"):
+            gate_runs(gens)
 
 
 def test_open_chain_drops_wrap_bond():

@@ -127,13 +127,14 @@ def test_validate_flags_each_problem():
 
 
 def test_validate_counts_the_zne_trajectory_batch(monkeypatch):
-    # on a 10 MB host, L=10 with N=1 optimizes in 0.4 MB, but a zne batch of
-    # CHUNK trajectory states, the clean state and a copy of them is 67 MB
+    # on a 10 MB host, L=10 with N=1 optimizes in 0.4 MB, but zne's
+    # trajectories (CHUNK states and the clean one, a copy of them and the
+    # error records of the circuit folded to factor 3) need 73 MB
     pages = {"SC_PHYS_PAGES": 2560, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     cfg = ExperimentConfig(kind="zne", L=(10,), N=1)
-    assert validate(cfg) == ["L=10: zne needs 0.0625 GiB for 2049 trajectory states and "
-                             "their copy; physical memory is 0.00977 GiB"]
+    assert validate(cfg) == ["L=10: zne needs 0.0677 GiB for its trajectories; physical "
+                             "memory is 0.00977 GiB"]
     assert validate(replace(cfg, kind="optimize")) == []
 
 
@@ -686,6 +687,7 @@ STALE_TRACER_BINDINGS = {
     "isingdefect.model.exact_ground",
     "isingdefect.model.dense_matrix",
     "isingdefect.zne.rotation_apply_raw",
+    "isingdefect.ansatz.rotation_apply_raw",
     "isingdefect.measure.apply_controlled",
     "isingdefect.observables.apply_controlled",
     "isingdefect.measure.rotation_apply_raw",
@@ -719,9 +721,9 @@ SETTABLE_VALUES = {
     "observables.ybar_hadamard(circuit_id=None)",
     "paulis.PauliString.x=0", "paulis.PauliString.z=0",
     "qng.OptimizeOptions.eta=0.05", "qng.OptimizeOptions.max_iters=500",
-    "qng.OptimizeOptions.seed=0", "qng.OptimizerState.converged=False",
-    "qng.OptimizerState.energy=nan", "qng.OptimizerState.grad_norm=nan",
-    "qng.OptimizerState.iteration=0", "qng.OptimizerState.params",
+    "qng.OptimizeOptions.seed=0", "qng.OptimizerState.energy=nan",
+    "qng.OptimizerState.grad_norm=nan", "qng.OptimizerState.iteration=0",
+    "qng.OptimizerState.params",
     "qng.OptimizerState.stop_reason=''", "qng.TraceRow.energy", "qng.TraceRow.grad_norm",
     "qng.TraceRow.iteration", "qng.TraceRow.rel_error", "qng.optimize(options=None)",
     "statevector.RotationGate.angle", "statevector.RotationGate.generator",

@@ -1,4 +1,6 @@
 """Gate folding, trajectory noise, and zero-noise extrapolation."""
+import re
+
 import numpy as np
 import pytest
 
@@ -271,33 +273,32 @@ def _gate(ops, angle):
     return RotationGate(PauliString.from_ops(ops), angle)
 
 
-def _assert_generic_circuit_matches_trajectory_oracle(gates, chunks):
+def _assert_circuit_matches_trajectory_oracle(gates):
     circ = Circuit(3, tuple(_gate(ops, angle) for ops, angle in gates))
     H = build_hamiltonian(ModelParams(L=3, b=1, v=0.7))
-    for chunk in chunks:
+    for chunk in (1, 7, 512):
         for noise in _NOISES:
             _assert_matches_trajectory_oracle(circ, H, noise, 40, chunk, seed=4)
     clean = oracles.channel_expectation(circ, H, 0.0)
     assert noiseless_expectation(circ, H) == pytest.approx(clean, abs=1e-12)
 
 
-def test_generic_generators_match_trajectory_oracle():
-    # Y and XX rotations take the gate-by-gate path between fused runs
-    _assert_generic_circuit_matches_trajectory_oracle(
-        (({0: "Z", 1: "Z"}, 0.4), ({1: "Y"}, 0.9), ({0: "X"}, -0.3), ({2: "X"}, 0.6),
-         ({0: "X", 2: "X"}, 1.1), ({2: "Z"}, 0.2), ({1: "Z", 2: "Z"}, -0.7), ({1: "X"}, 0.5)),
-        (1, 7, 512))
+def test_gate_set_circuits_match_trajectory_oracle():
+    # one-site Z gates and a non-adjacent ZZ join the diagonal runs
+    _assert_circuit_matches_trajectory_oracle(
+        (({0: "Z", 2: "Z"}, 0.4), ({1: "Z"}, 0.9), ({0: "X"}, -0.3), ({2: "X"}, 0.6),
+         ({1: "X"}, 1.1), ({2: "Z"}, 0.2), ({1: "Z", 2: "Z"}, -0.7), ({0: "Z"}, -1.2),
+         ({1: "X"}, 0.5)))
 
 
 def test_x_runs_meet_their_phase_on_every_side():
     # an X run is P R P with P = S^dag on every site, and a Z run it meets
     # applies its P; here X runs sit at both ends, two meet (site 1
-    # repeats), one sits between Z runs and one precedes a Y run
-    _assert_generic_circuit_matches_trajectory_oracle(
+    # repeats) and one sits between Z runs
+    _assert_circuit_matches_trajectory_oracle(
         (({0: "X"}, 0.3), ({1: "X"}, -0.5), ({1: "X"}, 0.7), ({2: "X"}, 0.4),
-         ({0: "Z", 1: "Z"}, 0.6), ({2: "Z"}, -0.2), ({0: "X"}, -0.8), ({1: "Y"}, 0.9),
-         ({1: "Z", 2: "Z"}, -0.4), ({0: "Z"}, 0.5), ({2: "X"}, 1.1), ({0: "X"}, -0.6)),
-        (1, 7))
+         ({0: "Z", 1: "Z"}, 0.6), ({2: "Z"}, -0.2), ({0: "X"}, -0.8), ({1: "Z"}, 0.9),
+         ({1: "Z", 2: "Z"}, -0.4), ({0: "Z"}, 0.5), ({2: "X"}, 1.1), ({0: "X"}, -0.6)))
 
 
 # L = 11 splits each X run into Kronecker factors of 3+4+4 sites
@@ -383,15 +384,37 @@ def test_trajectory_mean_matches_exact_channel(factor):
     assert abs(exact - clean) > 4 * rec.std_error  # the noise bias is resolved
 
 
-def test_wide_gate_runs_only_without_p1_noise(monkeypatch):
-    gates = (
-        RotationGate(PauliString.from_ops({0: "X", 1: "X", 2: "X"}), 0.3),
-        RotationGate(PauliString.from_ops({0: "Z", 1: "Z"}), 0.8),
-        RotationGate(PauliString.from_ops({2: "X"}), -0.4),
-    )
-    circ = Circuit(3, gates)
-    H = build_hamiltonian(ModelParams(L=3, b=0, v=0.7))
-    _assert_matches_trajectory_oracle(circ, H, NoiseModel(p2=0.2), 40, 7, seed=2)
+def test_circuit_refuses_gates_outside_its_set_before_any_draw(monkeypatch):
+    # every gate is a rotation about a Z string on one or two sites or about
+    # X on one site, inside the register; any other is refused by name, not
+    # dropped, misread or met as an IndexError mid-run
     monkeypatch.setattr(zne, "_error_records", _no_draws)
-    with pytest.raises(ValueError, match="3-site gate"):
-        noisy_expectation(circ, H, NoiseModel(p2=0.2, p1=0.1), 40)
+    for n, ops, why in ((3, {1: "Y"}, "is neither"), (3, {0: "X", 1: "X"}, "is neither"),
+                        (3, {0: "Z", 1: "Z", 2: "Z"}, "is neither"), (3, {}, "is neither"),
+                        (2, {2: "Z"}, "acts outside the 2-qubit register"),
+                        (2, {0: "Z", 3: "Z"}, "acts outside"), (2, {3: "X"}, "acts outside")):
+        gates = (_gate({0: "Z", 1: "Z"}, 0.4), _gate(ops, 0.7))
+        label = re.escape(repr(gates[1].generator))
+        with pytest.raises(ValueError, match=rf"gate 1 \({label}\) {why}"):
+            noisy_expectation(Circuit(n, gates), build_hamiltonian(ModelParams(L=n)),
+                              NoiseModel(p2=0.2, p1=0.1), 40)
+
+
+@pytest.mark.parametrize("p2", [0.01, 0.5])
+@pytest.mark.parametrize("v", [0.0, 4.0])
+def test_trajectory_memory_stays_within_its_bound(p2, v):
+    # `validate` refuses a zne config past physical memory by this bound; at
+    # p2 = 0.5 most of a chunk's 2048 rows err, and at v = 4 the defect term
+    # takes a batch-sized copy while the observable is read
+    import tracemalloc
+
+    spec = AnsatzSpec(L=8, N=1, boundary="open")
+    circ = ansatz_circuit(spec, init_params(spec, seed=1))
+    H = build_hamiltonian(ModelParams(L=8, v=v))
+    tracemalloc.start()
+    try:
+        zne._trajectory_values(circ, H, NoiseModel(p2=p2), 2048, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= zne.trajectory_bytes(circ, 2048)
