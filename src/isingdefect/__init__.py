@@ -33,12 +33,10 @@ from .observables import (
     correlator_profile,
     correlator_profile_shot,
     correlator_zz,
-    sector_projector,
-    spin_flip_string,
     ybar_exact,
     ybar_hadamard,
 )
-from .paulis import PauliString, WeightedPauliSum, commutator_norm, dense_matrix
+from .paulis import PauliString, WeightedPauliSum, dense_matrix
 from .qng import (
     OptimizeOptions,
     OptimizerState,

@@ -18,20 +18,20 @@ A subtlety worth recording: Ybar as written commutes with H(v=0, b=1) only
 on the spin-flip-even sector. The bare commutator [Ybar, H] is nonzero but
 annihilates that sector: [Ybar, H] P_+ = 0 with P_+ = (1 + prod X)/2, and
 Ybar P_+ commutes with H outright. Ground states live in the even sector, so
-every measured quantity here is sector-exact. See sector_projector.
+every measured quantity here is sector-exact. The symbolic Pauli expansions
+that check this live with the test oracles (tests/oracles.py).
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .ansatz import AnsatzSpec, prepare_state
 from .measure import EstimateRecord, ShotPlan, _sample_pm1
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import PauliString
 from .statevector import RotationGate, StateVector, pauli_expectation, rotation_apply_raw
 
 Q = 1j * cmath.exp(1j * math.pi / 4)
@@ -60,15 +60,6 @@ class BraidOperator:
             return 1 / Q, RotationGate(self.generator, math.pi / 4)
         return Q, RotationGate(self.generator, -math.pi / 4)
 
-    def to_sum(self, inverse=False) -> WeightedPauliSum:
-        phase, rot = self.rotation(inverse)
-        c = phase * math.cos(rot.angle)
-        s = phase * (-1j) * math.sin(rot.angle)
-        out = WeightedPauliSum(self.L)
-        out.add(c, PauliString())
-        out.add(s, self.generator)
-        return out
-
 
 @dataclass(frozen=True)
 class LoopOperator:
@@ -84,27 +75,6 @@ class LoopOperator:
 
     def braids(self) -> list[BraidOperator]:
         return [BraidOperator(k, self.L) for k in range(1, 2 * self.L)]
-
-    def to_sum(self) -> WeightedPauliSum:
-        """Full Pauli expansion; exponential in L, guarded to small chains."""
-        if self.L > 8:
-            raise ValueError("symbolic expansion guarded to L <= 8")
-        factors = [b.to_sum(inverse=True) for b in self.braids()]
-        prod = reduce(lambda a, b: a @ b, factors)
-        half = prod.scaled(self.prefactor)
-        return half + half.conjugate_transpose()
-
-
-def spin_flip_string(L: int) -> PauliString:
-    return PauliString((1 << L) - 1)
-
-
-def sector_projector(L: int) -> WeightedPauliSum:
-    """P_+ = (1 + prod_i X_i)/2, the spin-flip-even projector."""
-    out = WeightedPauliSum(L)
-    out.add(0.5, PauliString())
-    out.add(0.5, spin_flip_string(L))
-    return out
 
 
 def _loop_overlap(state: StateVector) -> complex:

@@ -6,8 +6,7 @@ Conventions used across the package:
 - a PauliString is a hermitian product of the letters X, Y and Z, stored as
   X/Z site bitmasks: it denotes i^n_y X^xmask Z^zmask, since Y_j = i X_j Z_j
   sets both mask bits and carries its own factor of i
-- every other scalar, the phases of products included, lives on a
-  WeightedPauliSum coefficient
+- every other scalar lives on a WeightedPauliSum coefficient
 """
 from __future__ import annotations
 
@@ -70,14 +69,6 @@ class PauliString:
         return " ".join(f"{s}:{p}" for s, p in self.ops.items()) or "I"
 
 
-def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """(phase, string) with a*b = phase * string exactly: X^x Z^z products
-    pick up (-1) per Z-past-X crossing, and the Ys' factors of i settle the
-    rest, so phase is one of +-1, +-i."""
-    string = PauliString(a.x ^ b.x, a.z ^ b.z)
-    return _PHASES[(a.e + b.e + 2 * (a.z & b.x).bit_count() - string.e) % 4], string
-
-
 class WeightedPauliSum:
     """Linear combination of Pauli strings with complex coefficients.
 
@@ -131,50 +122,8 @@ class WeightedPauliSum:
     def __len__(self):
         return len(self._terms)
 
-    def copy(self):
-        out = WeightedPauliSum(self.n_qubits)
-        out._terms = dict(self._terms)
-        return out
-
-    def scaled(self, factor):
-        out = WeightedPauliSum(self.n_qubits)
-        out._terms = {k: factor * c for k, c in self._terms.items()}
-        return out
-
-    def __add__(self, other):
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        out = self.copy()
-        for k, c in other._terms.items():
-            out._terms[k] = out._terms.get(k, 0.0 + 0.0j) + c
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def __matmul__(self, other):
-        """Operator product of two sums (used to expand braid products)."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        out = WeightedPauliSum(self.n_qubits)
-        for ca, sa in self.terms():
-            for cb, sb in other.terms():
-                phase, string = multiply(sa, sb)
-                out.add(ca * cb * phase, string)
-        return out
-
-    def conjugate_transpose(self):
-        out = WeightedPauliSum(self.n_qubits)
-        for coeff, string in self.terms():
-            out.add(coeff.conjugate(), string)
-        return out
-
     def is_hermitian(self):
         return all(abs(c.imag) <= 1e-12 for c in self._terms.values())
-
-    def norm(self):
-        """Sum of |coefficients| after canonical merge."""
-        return sum(abs(c) for c in self._terms.values())
 
 
 def parity_signs(mask, dim: int):
@@ -206,8 +155,3 @@ def dense_matrix(H: WeightedPauliSum):
         weight = coeff * _PHASES[string.e]
         mat[rows, cols] += (weight.real if real else weight) * signs
     return mat
-
-
-def commutator_norm(a: WeightedPauliSum, b: WeightedPauliSum) -> float:
-    """Sum-|coefficient| norm of ab - ba; zero iff the sums commute."""
-    return ((a @ b) - (b @ a)).norm()

@@ -82,10 +82,11 @@ def _gram(D) -> np.ndarray:
 
 def _metric(D, w) -> np.ndarray:
     """Re G_pq from the derivative rows and w = <d_p psi|psi> as the
-    columns (Re, Im), i.e. `_overlaps(D, psi, -1j * psi)`."""
+    columns (Re, Im), i.e. `_overlaps(D, psi, -1j * psi)`. Exactly
+    symmetric: the Gram product runs as a symmetric rank-k update."""
     g = _gram(D)
     g -= np.outer(w[:, 0], w[:, 0]) + np.outer(w[:, 1], w[:, 1])
-    return 0.5 * (g + g.T)
+    return g
 
 
 def gradient_exact(spec: AnsatzSpec, params, H: WeightedPauliSum) -> np.ndarray:
@@ -120,8 +121,6 @@ class OptimizerState:
 def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> OptimizerState:
     """One natural-gradient update of at most eta, halved while energy_fn
     reads a rise above state.energy."""
-    import scipy.linalg
-
     grad = np.asarray(grad, dtype=np.float64)
     metric = np.asarray(metric, dtype=np.float64)
     P = grad.size
@@ -131,11 +130,11 @@ def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> Opti
     for attempt in range(7):
         if attempt:
             lam *= 10
-        shifted = metric + lam * np.eye(P)
         try:
-            direction = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), grad)
-        except (np.linalg.LinAlgError, ValueError):
+            low = np.linalg.cholesky(metric + lam * np.eye(P))
+        except np.linalg.LinAlgError:
             continue
+        direction = np.linalg.solve(low.T, np.linalg.solve(low, grad))
         if np.all(np.isfinite(direction)):
             break
     else:

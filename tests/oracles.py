@@ -4,11 +4,13 @@ Everything here is built from first principles with plain numpy and scipy
 (kron products, eigensolvers, matrix exponentials) and deliberately avoids
 the package's own kernels, so tests compare two independent routes to each
 number; of the package it reads only the `ModelParams` and `StateVector`
-containers. The Ising Hamiltonian is assembled once, as a `scipy.sparse`
-matrix, and its ground state comes from ARPACK's Lanczos (`eigsh`), which
-reaches past the sizes a dense eigensolver can afford.
+containers, and a Pauli sum's terms in `pauli_map`. The Ising Hamiltonian
+is assembled once, as a `scipy.sparse` matrix, and its ground state comes
+from ARPACK's Lanczos (`eigsh`), which reaches past the sizes a dense
+eigensolver can afford.
 Site 0 is the least significant bit, matching the package convention.
 """
+import math
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -229,6 +231,83 @@ def dense_ybar(L):
         A = A @ dense_braid(k, L, inverse=True)
     A = (-Q_BRAID) ** L * A
     return A + A.conj().T
+
+
+# Pauli sums as {(x, z): coefficient} maps, keyed like `paulis.PauliString`:
+# the symbolic route to the loop operator and its commutators, exponential
+# in L and checked against the package's one dense converter.
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def product(a, b):
+    """The operator product a b. Per site XY = iZ, YZ = iX and ZX = iY, the
+    reversed orders take -i, and equal letters or an identity 1."""
+    out = {}
+    for (ax, az), ca in a.items():
+        xa, ya, za = ax & ~az, ax & az, az & ~ax
+        for (bx, bz), cb in b.items():
+            xb, yb, zb = bx & ~bz, bx & bz, bz & ~bx
+            k = (((xa & yb) | (ya & zb) | (za & xb)).bit_count()
+                 - ((ya & xb) | (za & yb) | (xa & zb)).bit_count())
+            key = (ax ^ bx, az ^ bz)
+            out[key] = out.get(key, 0j) + ca * cb * _PHASES[k % 4]
+    return out
+
+
+def add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0j) + c
+    return out
+
+
+def scale(a, factor):
+    return {key: factor * c for key, c in a.items()}
+
+
+def dagger(a):
+    """Strings are hermitian: only the coefficients conjugate."""
+    return {key: c.conjugate() for key, c in a.items()}
+
+
+def norm(a):
+    """Sum of |coefficients|."""
+    return sum(abs(c) for c in a.values())
+
+
+def commutator(a, b):
+    return add(product(a, b), scale(product(b, a), -1.0))
+
+
+def commutator_norm(a, b):
+    return norm(commutator(a, b))
+
+
+def pauli_map(H):
+    """The map of a package `WeightedPauliSum`."""
+    return {(string.x, string.z): c for c, string in H.terms()}
+
+
+def braid_sum(k, inverse=False):
+    """`dense_braid(k, L, inverse)` as a map: q^{+-1} (cos I -+ i sin P)."""
+    q = complex(Q_BRAID)
+    phase, angle = (1 / q, math.pi / 4) if inverse else (q, -math.pi / 4)
+    key = (1 << (k - 1) // 2, 0) if k % 2 else (0, 3 << (k // 2 - 1))
+    return {(0, 0): phase * math.cos(angle), key: phase * (-1j) * math.sin(angle)}
+
+
+def loop_sum(L):
+    """`dense_ybar(L)` expanded in full: up to 4^L terms, so guarded to L <= 8."""
+    if L > 8:
+        raise ValueError("symbolic expansion guarded to L <= 8")
+    braids = reduce(product, [braid_sum(k, inverse=True) for k in range(1, 2 * L)])
+    half = scale(braids, (-complex(Q_BRAID)) ** L)
+    return add(half, dagger(half))
+
+
+def sector_projector(L):
+    """P_+ = (1 + prod_i X_i)/2, the spin-flip-even projector."""
+    return {(0, 0): 0.5, ((1 << L) - 1, 0): 0.5}
 
 
 def controlled(U):

@@ -24,14 +24,12 @@ from isingdefect.measure import (
 )
 from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.observables import (
-    LoopOperator,
     correlator_profile,
     correlator_profile_shot,
-    sector_projector,
     ybar_exact,
     ybar_hadamard,
 )
-from isingdefect.paulis import PauliString, WeightedPauliSum, commutator_norm
+from isingdefect.paulis import PauliString, WeightedPauliSum
 from isingdefect.qng import (
     OptimizeOptions,
     gradient_exact,
@@ -94,10 +92,11 @@ def test_criterion_2_topological_eigenvalue():
         clauses.append(f"L={L}: ||<Ybar>|-sqrt2|={err:.2e}")
     comm_ok = True
     for L in (2, 3, 4, 5, 6):
-        H = build_hamiltonian(ModelParams(L=L, b=1, v=0.0))
-        ybar = LoopOperator(L).to_sum()
-        norm = commutator_norm(ybar, H)
-        projected = ((ybar @ H - H @ ybar) @ sector_projector(L)).norm()
+        H = oracles.pauli_map(build_hamiltonian(ModelParams(L=L, b=1, v=0.0)))
+        ybar = oracles.loop_sum(L)
+        norm = oracles.commutator_norm(ybar, H)
+        projected = oracles.norm(oracles.product(oracles.commutator(ybar, H),
+                                                 oracles.sector_projector(L)))
         comm_ok = comm_ok and norm < 1e-10
         clauses.append(f"L={L}: |[Ybar,H]|={norm:.6g} "
                        f"(sector-projected {projected:.2e})")

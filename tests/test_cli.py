@@ -697,6 +697,23 @@ STALE_TRACER_BINDINGS = {
 }
 
 
+# The package's public names, `isingdefect.__all__`, submodules included: a
+# name added to the API or dropped from it must be changed here.
+PUBLIC_NAMES = {
+    "AnsatzSpec", "BraidOperator", "Circuit", "EstimateRecord", "LoopOperator", "ModelParams",
+    "NoiseModel", "OptimizeOptions", "OptimizerState", "PauliString", "RotationGate",
+    "ShotPlan", "StateVector", "TraceRow", "WeightedPauliSum", "ZneSchedule", "ansatz",
+    "ansatz_circuit", "build_hamiltonian", "circuit_rng", "correlator_profile",
+    "correlator_profile_shot", "correlator_zz", "defect_coefficients", "dense_matrix",
+    "derivative_state", "energy_scan", "expectation", "extrapolate", "fold_gates",
+    "gate_generators", "gates", "gradient_exact", "gradient_shot", "ground_energy_gap",
+    "init_params", "measure", "metric_exact", "metric_shot", "model", "noiseless_expectation",
+    "noisy_expectation", "observables", "optimize", "parameter_count", "paulis", "plus_state",
+    "prepare_state", "qng", "qng_step", "sample_pauli_expectation", "statevector",
+    "ybar_exact", "ybar_hadamard", "zne", "zne_pipeline",
+}
+
+
 # Every settable value of the package: each defaulted parameter of a public
 # function or method, and each field of a public dataclass, reached from
 # `isingdefect.__all__`. A setting that only tests set is a constant; a
@@ -714,7 +731,7 @@ SETTABLE_VALUES = {
     "model.ModelParams.v=0.0", "model.energy_scan(j=None)",
     "observables.BraidOperator.L", "observables.BraidOperator.index",
     "observables.BraidOperator.rotation(inverse=False)",
-    "observables.BraidOperator.to_sum(inverse=False)", "observables.LoopOperator.L",
+    "observables.LoopOperator.L",
     "observables.correlator_profile_shot(records=None)",
     "observables.correlator_profile_shot(rs=None)",
     "observables.correlator_profile_shot(runs=1)",
@@ -766,6 +783,12 @@ def _settable_values() -> set:
         else:
             visit(f"{obj.__module__.rsplit('.', 1)[-1]}.{name}", obj)
     return found
+
+
+def test_public_names_are_pinned():
+    import isingdefect
+
+    assert set(isingdefect.__all__) == PUBLIC_NAMES
 
 
 def test_settable_values_are_pinned():

@@ -93,7 +93,7 @@ def test_zero_coefficient_term_contributes_nothing():
     spec = AnsatzSpec(L=2, N=1)
     params = init_params(spec, seed=1) * 40
     H = build_hamiltonian(ModelParams(L=2, b=0))
-    H2 = H.copy()
+    H2 = build_hamiltonian(ModelParams(L=2, b=0))
     H2.add(0.0, PauliString.from_ops({0: "Y", 1: "Y"}))
     plan = ShotPlan(shots=128, seed=3)
     assert np.array_equal(

@@ -13,13 +13,11 @@ from isingdefect.observables import (
     correlator_profile,
     correlator_profile_shot,
     correlator_zz,
-    sector_projector,
-    spin_flip_string,
     ybar_exact,
     ybar_hadamard,
     ybar_shots,
 )
-from isingdefect.paulis import WeightedPauliSum, commutator_norm, dense_matrix
+from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix
 from isingdefect.qng import OptimizeOptions, optimize
 from isingdefect.statevector import StateVector, plus_state
 
@@ -41,6 +39,11 @@ PROFILE_V4 = [
 ]
 
 
+def as_sum(m, L):
+    """The package sum of an oracle map {(x, z): coefficient}."""
+    return WeightedPauliSum(L, [(c, PauliString(*k)) for k, c in m.items()])
+
+
 def random_state(L, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
@@ -48,23 +51,24 @@ def random_state(L, seed):
     return StateVector(L, amps)
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_braids_match_dense_oracle_and_are_unitary(L):
+    # the symbolic braids of the test oracle against its dense ones
     for k in range(1, 2 * L):
         for inverse in (False, True):
-            got = dense_matrix(BraidOperator(k, L).to_sum(inverse))
+            got = dense_matrix(as_sum(oracles.braid_sum(k, inverse), L))
             want = oracles.dense_braid(k, L, inverse)
             assert np.allclose(got, want, atol=1e-12)
             assert np.allclose(got @ got.conj().T, np.eye(1 << L), atol=1e-12)
     for k in range(1, 2 * L):
-        g = dense_matrix(BraidOperator(k, L).to_sum(False))
-        ginv = dense_matrix(BraidOperator(k, L).to_sum(True))
+        g = dense_matrix(as_sum(oracles.braid_sum(k), L))
+        ginv = dense_matrix(as_sum(oracles.braid_sum(k, inverse=True), L))
         assert np.allclose(g @ ginv, np.eye(1 << L), atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_braid_relations(L):
-    mats = [dense_matrix(BraidOperator(k, L).to_sum()) for k in range(1, 2 * L)]
+    mats = [dense_matrix(as_sum(oracles.braid_sum(k), L)) for k in range(1, 2 * L)]
     for a, b in zip(mats, mats[1:]):
         assert np.allclose(a @ b @ a, b @ a @ b, atol=1e-12)
 
@@ -73,15 +77,15 @@ def test_odd_braid_multiplies_plus_state_by_minus_one():
     for L in (2, 3):
         psi = plus_state(L).amplitudes
         for k in range(1, 2 * L, 2):
-            g = dense_matrix(BraidOperator(k, L).to_sum())
+            g = dense_matrix(as_sum(oracles.braid_sum(k), L))
             assert np.allclose(g @ psi, -psi, atol=1e-12)
 
 
 def test_loop_operator_sum_is_hermitian_and_matches_oracle():
-    for L in (2, 3, 4):
-        yb = LoopOperator(L).to_sum()
+    for L in (2, 3, 4, 5):
+        yb = as_sum(oracles.loop_sum(L), L)
         assert yb.is_hermitian()
-        assert np.allclose(dense_matrix(yb), oracles.dense_ybar(L), atol=1e-10)
+        assert np.allclose(dense_matrix(yb), oracles.dense_ybar(L), rtol=0, atol=1e-12)
 
 
 def test_loop_expectation_real_on_random_states():
@@ -107,15 +111,14 @@ def test_commutator_is_sector_exact_not_bare():
     # is an exact symmetry of the spin-flip-even sector where ground states
     # live
     for L, bare in ((4, 16.0), (6, 64.0)):
-        yb = LoopOperator(L).to_sum()
-        H = build_hamiltonian(ModelParams(L=L, b=1, v=0.0))
-        assert commutator_norm(yb, H) == pytest.approx(bare, abs=1e-9)
-        comm = (yb @ H) - (H @ yb)
-        assert (comm @ sector_projector(L)).norm() < 1e-10
-        assert commutator_norm(yb @ sector_projector(L), H) < 1e-10
-        flip = WeightedPauliSum(L)
-        flip.add(1.0, spin_flip_string(L))
-        assert commutator_norm(yb, flip) < 1e-10
+        yb = oracles.loop_sum(L)
+        H = oracles.pauli_map(build_hamiltonian(ModelParams(L=L, b=1, v=0.0)))
+        projector = oracles.sector_projector(L)
+        assert oracles.commutator_norm(yb, H) == pytest.approx(bare, abs=1e-9)
+        assert oracles.norm(oracles.product(oracles.commutator(yb, H), projector)) < 1e-10
+        assert oracles.commutator_norm(oracles.product(yb, projector), H) < 1e-10
+        flip = {((1 << L) - 1, 0): 1.0}
+        assert oracles.commutator_norm(yb, flip) < 1e-10
 
 
 def test_loop_circuit_analytic_matches_exact_path():
@@ -274,5 +277,5 @@ def test_braid_index_validation():
         BraidOperator(8, 4)
     with pytest.raises(ValueError):
         LoopOperator(1)
-    with pytest.raises(ValueError):
-        LoopOperator(10).to_sum()
+    with pytest.raises(ValueError, match="L <= 8"):
+        oracles.loop_sum(9)

@@ -1,16 +1,14 @@
+"""Pauli strings, weighted sums and their dense matrices; the test oracle's
+Pauli-sum product is checked here against `dense_matrix`."""
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from isingdefect.paulis import (
-    PauliString,
-    WeightedPauliSum,
-    commutator_norm,
-    dense_matrix,
-    multiply,
-)
+from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix
+
+import oracles
 from oracles import kron_chain
 
 LETTERS = ["I", "X", "Y", "Z"]
@@ -21,10 +19,17 @@ def string_from_letters(letters):
     return PauliString.from_ops(ops)
 
 
-def dense(string, n):
-    mat = kron_chain({}, n) * 0
-    sum1 = WeightedPauliSum(n).add(1.0, string)
-    return dense_matrix(sum1) + mat
+def dense(op, n):
+    """Complex `dense_matrix` of a string or of an oracle map {(x, z): c}."""
+    terms = op.items() if isinstance(op, dict) else [((op.x, op.z), 1.0)]
+    return dense_matrix(WeightedPauliSum(n, [(c, PauliString(*k)) for k, c in terms])) + 0j
+
+
+def multiply(a, b):
+    """(phase, string) with a b = phase string: the oracle's product of two
+    one-term maps, whose phase rule the package does not share."""
+    ((key, phase),) = oracles.product({(a.x, a.z): 1}, {(b.x, b.z): 1}).items()
+    return phase, PauliString(*key)
 
 
 def test_multiply_involution():
@@ -102,7 +107,7 @@ def test_phase_field_and_hermiticity():
     assert WeightedPauliSum(3).add(1.0, y).is_hermitian()
     iy = WeightedPauliSum(3).add(1j, y)
     assert not iy.is_hermitian()
-    assert list(iy.conjugate_transpose().terms()) == [(-1j, y)]
+    assert oracles.dagger(oracles.pauli_map(iy)) == {(y.x, y.z): -1j}
 
 
 def test_sum_merges_terms():
@@ -119,25 +124,29 @@ def test_sum_merges_terms():
 
 
 def test_commutator_norm_trivial_cases():
-    x0 = WeightedPauliSum(1).add(1.0, PauliString.from_ops({0: "X"}))
-    z0 = WeightedPauliSum(1).add(1.0, PauliString.from_ops({0: "Z"}))
-    assert commutator_norm(x0, x0) == 0.0
-    assert commutator_norm(z0, x0) == pytest.approx(2.0)
+    x0, z0 = {(1, 0): 1.0}, {(0, 1): 1.0}
+    assert oracles.commutator_norm(x0, x0) == 0.0
+    assert oracles.commutator_norm(z0, x0) == pytest.approx(2.0)
 
 
 def test_sum_product_matches_dense():
+    # the oracle's sum algebra against `dense_matrix`; a map's coefficient
+    # of the string P is Tr(P M) / 2^n
     rng = np.random.default_rng(3)
-    n = 3
-    a = WeightedPauliSum(n)
-    b = WeightedPauliSum(n)
-    for s in (a, b):
-        for _ in range(4):
-            ops = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=n)) if k}
-            s.add(complex(rng.normal(), rng.normal()), PauliString.from_ops(ops))
-    np.testing.assert_allclose(dense_matrix(a @ b), dense_matrix(a) @ dense_matrix(b), atol=1e-12)
-    np.testing.assert_allclose(
-        dense_matrix(a.conjugate_transpose()), dense_matrix(a).conj().T, atol=1e-12
-    )
+    for n in (1, 2, 3, 4):
+        strings = [dense({(x, z): 1.0}, n) for x in range(1 << n) for z in range(1 << n)]
+        for _ in range(10):
+            a, b = ({(int(x), int(z)): complex(*rng.normal(size=2))
+                     for x, z in rng.integers(0, 1 << n, size=(4, 2))} for _ in range(2))
+            A, B = dense(a, n), dense(b, n)
+            for got, want in ((oracles.product(a, b), A @ B), (oracles.add(a, b), A + B),
+                              (oracles.scale(a, 0.5 - 2j), (0.5 - 2j) * A),
+                              (oracles.dagger(a), A.conj().T),
+                              (oracles.commutator(a, b), A @ B - B @ A)):
+                np.testing.assert_allclose(dense(got, n), want, rtol=0, atol=1e-12)
+            C = A @ B - B @ A
+            want = sum(abs(np.sum(P.T * C)) for P in strings) / 2**n
+            assert oracles.commutator_norm(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_dense_matrix_real_when_possible_and_guarded():

@@ -169,7 +169,7 @@ def test_metric_symmetric_and_psd():
     spec = AnsatzSpec(L=4, N=2)
     for seed in range(3):
         g = metric_exact(spec, random_point(spec, seed))
-        assert np.max(np.abs(g - g.T)) < 1e-12
+        assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() > -1e-10
 
 
