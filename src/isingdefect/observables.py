@@ -54,11 +54,9 @@ class BraidOperator:
         j = self.index // 2
         return PauliString.from_ops({j - 1: "Z", j: "Z"})
 
-    def rotation(self, inverse=False) -> tuple[complex, RotationGate]:
-        """(scalar, gate) with g = scalar * exp(-i angle G)."""
-        if inverse:
-            return 1 / Q, RotationGate(self.generator, math.pi / 4)
-        return Q, RotationGate(self.generator, -math.pi / 4)
+    def rotation(self) -> tuple[complex, RotationGate]:
+        """(scalar, gate) with g^{-1} = scalar * exp(-i angle G)."""
+        return 1 / Q, RotationGate(self.generator, math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ def _loop_overlap(state: StateVector) -> complex:
     amps = state.amplitudes.copy()
     scalar = loop.prefactor
     for braid in reversed(loop.braids()):
-        phase, rot = braid.rotation(inverse=True)
+        phase, rot = braid.rotation()
         scalar *= phase
         rotation_apply_raw(amps, rot)
     return scalar * complex(np.vdot(state.amplitudes, amps))

@@ -130,11 +130,12 @@ def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> Opti
     for attempt in range(7):
         if attempt:
             lam *= 10
+        shifted = metric + lam * np.eye(P)
         try:
-            low = np.linalg.cholesky(metric + lam * np.eye(P))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
-        direction = np.linalg.solve(low.T, np.linalg.solve(low, grad))
+        direction = np.linalg.solve(shifted, grad)
         if np.all(np.isfinite(direction)):
             break
     else:

@@ -288,6 +288,12 @@ def pauli_map(H):
     return {(string.x, string.z): c for c, string in H.terms()}
 
 
+def dense(a, n):
+    """The matrix of map a on n qubits; per site, bits x + 2z index IXZY."""
+    return sum((c * kron_chain({i: "IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n)}, n)
+                for (x, z), c in a.items()), np.zeros((1 << n, 1 << n), complex))
+
+
 def braid_sum(k, inverse=False):
     """`dense_braid(k, L, inverse)` as a map: q^{+-1} (cos I -+ i sin P)."""
     q = complex(Q_BRAID)

@@ -730,7 +730,6 @@ SETTABLE_VALUES = {
     "model.ModelParams.L", "model.ModelParams.b=0", "model.ModelParams.j=None",
     "model.ModelParams.v=0.0", "model.energy_scan(j=None)",
     "observables.BraidOperator.L", "observables.BraidOperator.index",
-    "observables.BraidOperator.rotation(inverse=False)",
     "observables.LoopOperator.L",
     "observables.correlator_profile_shot(records=None)",
     "observables.correlator_profile_shot(rs=None)",

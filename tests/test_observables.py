@@ -17,7 +17,6 @@ from isingdefect.observables import (
     ybar_hadamard,
     ybar_shots,
 )
-from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix
 from isingdefect.qng import OptimizeOptions, optimize
 from isingdefect.statevector import StateVector, plus_state
 
@@ -39,11 +38,6 @@ PROFILE_V4 = [
 ]
 
 
-def as_sum(m, L):
-    """The package sum of an oracle map {(x, z): coefficient}."""
-    return WeightedPauliSum(L, [(c, PauliString(*k)) for k, c in m.items()])
-
-
 def random_state(L, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
@@ -53,22 +47,27 @@ def random_state(L, seed):
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_braids_match_dense_oracle_and_are_unitary(L):
-    # the symbolic braids of the test oracle against its dense ones
+    # the symbolic braids of the test oracle against its dense ones, and the
+    # package's inverse braid rotations against the dense inverses
     for k in range(1, 2 * L):
+        phase, rot = BraidOperator(k, L).rotation()
+        G = {(rot.generator.x, rot.generator.z): 1.0}
+        assert np.allclose(phase * oracles.dense_rotation(oracles.dense(G, L), rot.angle),
+                           oracles.dense_braid(k, L, inverse=True), rtol=0, atol=1e-12)
         for inverse in (False, True):
-            got = dense_matrix(as_sum(oracles.braid_sum(k, inverse), L))
+            got = oracles.dense(oracles.braid_sum(k, inverse), L)
             want = oracles.dense_braid(k, L, inverse)
             assert np.allclose(got, want, atol=1e-12)
             assert np.allclose(got @ got.conj().T, np.eye(1 << L), atol=1e-12)
     for k in range(1, 2 * L):
-        g = dense_matrix(as_sum(oracles.braid_sum(k), L))
-        ginv = dense_matrix(as_sum(oracles.braid_sum(k, inverse=True), L))
+        g = oracles.dense(oracles.braid_sum(k), L)
+        ginv = oracles.dense(oracles.braid_sum(k, inverse=True), L)
         assert np.allclose(g @ ginv, np.eye(1 << L), atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_braid_relations(L):
-    mats = [dense_matrix(as_sum(oracles.braid_sum(k), L)) for k in range(1, 2 * L)]
+    mats = [oracles.dense(oracles.braid_sum(k), L) for k in range(1, 2 * L)]
     for a, b in zip(mats, mats[1:]):
         assert np.allclose(a @ b @ a, b @ a @ b, atol=1e-12)
 
@@ -77,15 +76,15 @@ def test_odd_braid_multiplies_plus_state_by_minus_one():
     for L in (2, 3):
         psi = plus_state(L).amplitudes
         for k in range(1, 2 * L, 2):
-            g = dense_matrix(as_sum(oracles.braid_sum(k), L))
+            g = oracles.dense(oracles.braid_sum(k), L)
             assert np.allclose(g @ psi, -psi, atol=1e-12)
 
 
 def test_loop_operator_sum_is_hermitian_and_matches_oracle():
     for L in (2, 3, 4, 5):
-        yb = as_sum(oracles.loop_sum(L), L)
-        assert yb.is_hermitian()
-        assert np.allclose(dense_matrix(yb), oracles.dense_ybar(L), rtol=0, atol=1e-12)
+        yb = oracles.loop_sum(L)
+        assert all(abs(c.imag) <= 1e-12 for c in yb.values())
+        assert np.allclose(oracles.dense(yb, L), oracles.dense_ybar(L), rtol=0, atol=1e-12)
 
 
 def test_loop_expectation_real_on_random_states():

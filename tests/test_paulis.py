@@ -9,77 +9,53 @@ import pytest
 from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix
 
 import oracles
-from oracles import kron_chain
+from oracles import dense, kron_chain
 
 LETTERS = ["I", "X", "Y", "Z"]
 
 
-def string_from_letters(letters):
-    ops = {i: p for i, p in enumerate(letters) if p != "I"}
-    return PauliString.from_ops(ops)
-
-
-def dense(op, n):
-    """Complex `dense_matrix` of a string or of an oracle map {(x, z): c}."""
-    terms = op.items() if isinstance(op, dict) else [((op.x, op.z), 1.0)]
-    return dense_matrix(WeightedPauliSum(n, [(c, PauliString(*k)) for k, c in terms])) + 0j
-
-
-def multiply(a, b):
-    """(phase, string) with a b = phase string: the oracle's product of two
-    one-term maps, whose phase rule the package does not share."""
-    ((key, phase),) = oracles.product({(a.x, a.z): 1}, {(b.x, b.z): 1}).items()
-    return phase, PauliString(*key)
+def key(letters):
+    """The (x, z) key of the string with one letter per site."""
+    s = PauliString.from_ops({i: p for i, p in enumerate(letters) if p != "I"})
+    return s.x, s.z
 
 
 def test_multiply_involution():
-    x0 = PauliString.from_ops({0: "X"})
-    assert multiply(x0, x0) == (1.0, PauliString())
+    assert oracles.product({(1, 0): 1}, {(1, 0): 1}) == {(0, 0): 1}
 
 
 def test_multiply_xz_gives_minus_i_y():
-    x0 = PauliString.from_ops({0: "X"})
-    z0 = PauliString.from_ops({0: "Z"})
-    phase, prod = multiply(x0, z0)
-    assert prod.ops == {0: "Y"}
-    assert phase == -1j
+    assert oracles.product({(1, 0): 1}, {(0, 1): 1}) == {(1, 1): -1j}
 
 
 def test_multiply_two_qubit_example_against_matrix():
-    a = PauliString.from_ops({0: "Z", 1: "Z"})
-    b = PauliString.from_ops({1: "X"})
-    phase, prod = multiply(a, b)
-    np.testing.assert_allclose(phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12)
-    assert prod.ops == {0: "Z", 1: "Y"}
+    a, b = {key("ZZ"): 1}, {key("IX"): 1}
+    prod = oracles.product(a, b)
+    assert prod == {key("ZY"): 1j}
+    np.testing.assert_allclose(dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12)
 
 
 def test_multiply_exhaustive_two_qubits():
     pairs = list(itertools.product(LETTERS, repeat=2))
     for la, lb in itertools.product(pairs, repeat=2):
-        a = string_from_letters(la)
-        b = string_from_letters(lb)
-        phase, prod = multiply(a, b)
+        a, b = {key(la): 1}, {key(lb): 1}
+        prod = oracles.product(a, b)
+        (phase,) = prod.values()
         assert phase in (1, 1j, -1, -1j)
-        np.testing.assert_allclose(
-            phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12,
-            err_msg=f"{la} * {lb}",
-        )
+        np.testing.assert_allclose(dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12,
+                                   err_msg=f"{la} * {lb}")
+
+
+def random_strings(rng, count, n):
+    return [{key(LETTERS[k] for k in rng.integers(0, 4, size=n)): 1} for _ in range(count)]
 
 
 def test_multiply_associative_random():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        strs = []
-        for _ in range(3):
-            ops = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=4)) if k}
-            strs.append(PauliString.from_ops(ops))
-        a, b, c = strs
-        ab_phase, ab = multiply(a, b)
-        bc_phase, bc = multiply(b, c)
-        left_phase, left = multiply(ab, c)
-        right_phase, right = multiply(a, bc)
-        assert left == right
-        assert ab_phase * left_phase == bc_phase * right_phase
+        a, b, c = random_strings(rng, 3, 4)
+        left = oracles.product(oracles.product(a, b), c)
+        assert left == oracles.product(a, oracles.product(b, c))
 
 
 def test_conjugate_of_product_is_reversed_product_of_conjugates():
@@ -87,14 +63,8 @@ def test_conjugate_of_product_is_reversed_product_of_conjugates():
     # the same string with the conjugate phase
     rng = np.random.default_rng(5)
     for _ in range(200):
-        ops_a = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=3)) if k}
-        ops_b = {i: LETTERS[k] for i, k in enumerate(rng.integers(0, 4, size=3)) if k}
-        a = PauliString.from_ops(ops_a)
-        b = PauliString.from_ops(ops_b)
-        ab_phase, ab = multiply(a, b)
-        ba_phase, ba = multiply(b, a)
-        assert ba == ab
-        assert ba_phase == ab_phase.conjugate()
+        a, b = random_strings(rng, 2, 3)
+        assert oracles.product(b, a) == oracles.dagger(oracles.product(a, b))
 
 
 def test_phase_field_and_hermiticity():
@@ -103,7 +73,8 @@ def test_phase_field_and_hermiticity():
     assert [f.name for f in dataclasses.fields(PauliString)] == ["x", "z"]
     y = PauliString.from_ops({2: "Y"})
     assert (y.x, y.z, y.e) == (0b100, 0b100, 1)
-    np.testing.assert_array_equal(dense(y, 3), dense(y, 3).conj().T)
+    Y = dense({(y.x, y.z): 1.0}, 3)
+    np.testing.assert_array_equal(Y, Y.conj().T)
     assert WeightedPauliSum(3).add(1.0, y).is_hermitian()
     iy = WeightedPauliSum(3).add(1j, y)
     assert not iy.is_hermitian()
@@ -115,8 +86,8 @@ def test_sum_merges_terms():
     s.add(0.5, PauliString.from_ops({0: "X"}))
     s.add(0.25, PauliString.from_ops({0: "X"}))
     # Y Z = i X: the product's phase folds into the coefficient, i * i = -1
-    phase, string = multiply(PauliString.from_ops({0: "Y"}), PauliString.from_ops({0: "Z"}))
-    s.add(1j * phase, string)
+    ((string, phase),) = oracles.product({key("Y"): 1}, {key("Z"): 1}).items()
+    s.add(1j * phase, PauliString(*string))
     assert len(s) == 1
     ((coeff, string),) = list(s.terms())
     assert coeff == pytest.approx(-0.25)
@@ -130,11 +101,14 @@ def test_commutator_norm_trivial_cases():
 
 
 def test_sum_product_matches_dense():
-    # the oracle's sum algebra against `dense_matrix`; a map's coefficient
-    # of the string P is Tr(P M) / 2^n
+    # the oracle's sum algebra against its kron matrices, which are
+    # `dense_matrix`'s string by string; a map's coefficient of the string P
+    # is Tr(P M) / 2^n
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4):
-        strings = [dense({(x, z): 1.0}, n) for x in range(1 << n) for z in range(1 << n)]
+        keys = list(itertools.product(range(1 << n), repeat=2))
+        strings = [dense_matrix(WeightedPauliSum(n).add(1.0, PauliString(*k))) for k in keys]
+        assert all(np.array_equal(dense({k: 1.0}, n), S) for k, S in zip(keys, strings))
         for _ in range(10):
             a, b = ({(int(x), int(z)): complex(*rng.normal(size=2))
                      for x, z in rng.integers(0, 1 << n, size=(4, 2))} for _ in range(2))
@@ -167,11 +141,9 @@ def test_dense_matrix_real_when_possible_and_guarded():
 def test_string_to_matrix_consistency_exhaustive():
     for la in itertools.product(LETTERS, repeat=2):
         for lb in itertools.product(LETTERS, repeat=2):
-            a, b = string_from_letters(la), string_from_letters(lb)
-            phase, prod = multiply(a, b)
-            np.testing.assert_allclose(
-                phase * dense(prod, 2), dense(a, 2) @ dense(b, 2), atol=1e-12
-            )
+            a, b = {key(la): 1}, {key(lb): 1}
+            np.testing.assert_allclose(dense(oracles.product(a, b), 2),
+                                       dense(a, 2) @ dense(b, 2), atol=1e-12)
 
 
 def test_hermitian_flag():
