@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .ansatz import (
     AnsatzSpec,
     gate_generators,
-    gates,
     init_params,
     parameter_count,
     prepare_state,
@@ -28,7 +27,6 @@ from .model import (
     ground_energy_gap,
 )
 from .observables import (
-    BraidOperator,
     LoopOperator,
     correlator_profile,
     correlator_profile_shot,

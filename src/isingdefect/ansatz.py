@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paulis import PauliString, parity_signs
-from .statevector import RotationGate, StateVector, _zsigns, plus_state
+from .statevector import StateVector, _zsigns, plus_state
 
 _BOUNDARIES = ("open", "periodic")
 FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
@@ -76,13 +76,6 @@ def gate_generators(spec: AnsatzSpec) -> tuple[PauliString, ...]:
     for i in range(spec.L):
         layer.append(PauliString.from_ops({i: "Z"}))
     return tuple(layer * spec.N)
-
-
-def gates(spec: AnsatzSpec, params) -> list[RotationGate]:
-    gens = gate_generators(spec)
-    if len(params) != len(gens):
-        raise ValueError(f"expected {len(gens)} parameters, got {len(params)}")
-    return [RotationGate(g, float(t)) for g, t in zip(gens, params)]
 
 
 def gate_runs(generators) -> tuple:
@@ -225,36 +218,41 @@ def apply_run(batch, run, angles, L: int):
     return None
 
 
-def circuit_pass(runs, angles, L: int, derivatives: bool = False) -> np.ndarray:
-    """Run by run over |+>: row 0 is U|+>. With derivatives, row p+1 is
-    U_>p (-i O_p) U_<=p |+>."""
+def circuit_pass(runs, angles, L: int, batch=None) -> np.ndarray:
+    """Run by run over |+>: row 0 is U|+>. Given a (len(angles) + 1)-row
+    batch to write into, row p+1 is U_>p (-i O_p) U_<=p |+>; every row is
+    written before it is read, so a batch can be reused. Without one, the
+    pass makes a one-row batch."""
     angles = np.asarray(angles, dtype=np.float64)
     if len(angles) != sum(run[2] - run[1] for run in runs):
         raise ValueError("parameter count mismatch")
     dim = 1 << L
-    batch = np.empty((len(angles) + 1 if derivatives else 1, dim), dtype=np.complex128)
+    derivatives = batch is not None
+    if batch is None:
+        batch = np.empty((1, dim), dtype=np.complex128)
     batch[0] = plus_state(L).amplitudes
     psi = batch[0]
     for run in runs:
         _, start, stop, keys, (_, after) = run
         # psi and the derivative rows made so far
         signs = apply_run(batch[: start + 1], run, angles[start:stop], L)
-        if not derivatives:
-            continue
-        rows = batch[start + 1 : stop + 1]
-        if signs is not None:
-            np.multiply(signs, -1j * psi, out=rows)
-        else:
-            # -i X_s psi; while the rows hold P^dag times the state,
-            # P^dag (-i X_s) P = X_s Z_s
-            index, sign = _flip_tables(keys, dim)
-            np.multiply(psi[index], sign if after else -1j, out=rows)
+        if derivatives:
+            rows = batch[start + 1 : stop + 1]
+            if signs is not None:
+                np.multiply(signs, -1j * psi, out=rows)
+            else:
+                # -i X_s psi; while the rows hold P^dag times the state,
+                # P^dag (-i X_s) P = X_s Z_s
+                index, sign = _flip_tables(keys, dim)
+                np.multiply(psi[index], sign if after else -1j, out=rows)
+        del signs  # a Z run's sign rows go before the next run
     return batch
 
 
 def derivative_sweep(spec: AnsatzSpec, params):
     """(psi, D) with D[p] = d psi / d params[p], all from one circuit pass."""
-    batch = circuit_pass(_blocks(spec), params, spec.L, derivatives=True)
+    batch = np.empty((len(params) + 1, 1 << spec.L), dtype=np.complex128)
+    circuit_pass(_blocks(spec), params, spec.L, batch)
     return batch[0], batch[1:]
 
 

@@ -43,7 +43,7 @@ from .measure import ShotPlan, _sample_pm1
 from .model import ModelParams, build_hamiltonian, energy_scan, ground_energy_gap
 from .observables import correlator_profile_shot, ybar_exact, ybar_shots
 from .paulis import DENSE_LIMIT, dense_matrix
-from .qng import OptimizeOptions, optimize
+from .qng import OptimizeOptions, optimize, optimize_bytes
 from .statevector import pauli_expectation
 from .zne import (NoiseModel, ZneSchedule, ansatz_circuit, fold_schedule, trajectory_bytes,
                   zne_pipeline)
@@ -202,7 +202,7 @@ def validate(config: ExperimentConfig) -> list:
                 ansatz_circuit(spec, np.zeros(parameter_count(spec))), schedule)
             if spec and L <= STATEVECTOR_LIMIT:
                 P = parameter_count(spec)
-                need = 16 * (P + 1) * 2**L + 8 * P**2  # derivative batch and metric
+                need = optimize_bytes(spec)
                 what = (f"optimize needs {need / 2**30:.3g} GiB for {P + 1} states "
                         f"and a {P} x {P} metric")
                 if fold and trajectory_bytes(fold[0][-1], config.trajectories) > need:
@@ -262,7 +262,7 @@ def _measured_energy(H, state, plan_base: ShotPlan, runs: int, tag: str):
     terms = list(H.terms())
     means = [pauli_expectation(state, term) for _, term in terms]
     ids = [f"energy:{tag}:run{run}:t{k}" for run in range(runs) for k in range(len(terms))]
-    values = _sample_pm1(np.tile(means, runs), plan_base, ids, "X")
+    values = _sample_pm1(np.tile(means, runs), plan_base, ids)
     return _mean_se([sum(c.real * value for (c, _), value in zip(terms, row))
                      for row in values.reshape(runs, len(terms))])
 

@@ -7,7 +7,8 @@ phi_0/phi_1 are the branch states. Every such mean is an overlap of L-qubit
 states, so no (L+1)-qubit register is built: `gradient_shot` and
 `metric_shot` read theirs from one `ansatz.derivative_sweep` (d_p =
 d psi/d theta_p), `observables.ybar_shots` reads the loop overlap, and
-each mean is sampled under its circuit id:
+each mean is sampled under its circuit id, which names the ancilla basis
+(metric:y: ids are the only Y tests):
 
     grad:p{p}:t{t}    X   Re<psi| h_t |d_p>  = Re<d_p|h_t psi>
     metric:y:q{q}     Y   Im<psi|d_q>        = -Im<d_q|psi>
@@ -61,7 +62,6 @@ class EstimateRecord:
     std_error: float
     shots_used: int
     circuit_id: str
-    basis: str = "X"
 
 
 def circuit_rng(seed: int, circuit_id: str) -> np.random.Generator:
@@ -69,8 +69,7 @@ def circuit_rng(seed: int, circuit_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
-def _sample_pm1(means, plan: ShotPlan, ids, basis: str,
-                records: list | None = None) -> np.ndarray:
+def _sample_pm1(means, plan: ShotPlan, ids, records: list | None = None) -> np.ndarray:
     """Sampled values of the +/-1 outcomes with the given exact means, one
     per circuit id, from one binomial call; records go to `records` in id
     order. An analytic plan returns the means unchanged."""
@@ -84,8 +83,8 @@ def _sample_pm1(means, plan: ShotPlan, ids, basis: str,
         errors = np.sqrt(np.maximum(0.0, 1.0 - values * values) / plan.shots)
         shots = plan.shots
     if records is not None:
-        records.extend(EstimateRecord(float(v), float(e), shots, cid, basis)
-                       for v, e, cid in zip(values, errors, ids))
+        records.extend(EstimateRecord(v, e, shots, cid)
+                       for v, e, cid in zip(values.tolist(), errors.tolist(), ids))
     return values
 
 
@@ -100,8 +99,8 @@ def gradient_shot(spec: AnsatzSpec, params, H: WeightedPauliSum, plan: ShotPlan,
     psi, D = derivative_sweep(spec, params)
     P = D.shape[0]
     means = _overlaps(D, *[pauli_apply_raw(psi, h) for _, h in H.terms()])[:, kept]
-    ids = [f"grad:p{p}:t{t}" for p in range(P) for t in kept]
-    values = _sample_pm1(means.ravel(), plan, ids, "X", records)
+    ids = [f"grad:p{p}:t{t}" for p in range(P) for t in kept.tolist()]
+    values = _sample_pm1(means.ravel(), plan, ids, records)
     return values.reshape(P, kept.size) @ (2.0 * coeffs[kept])
 
 
@@ -112,10 +111,11 @@ def metric_shot(spec: AnsatzSpec, params, plan: ShotPlan,
     psi, D = derivative_sweep(spec, params)
     P = D.shape[0]
     y_mean = _overlaps(D, 1j * psi)[:, 0]  # Re<d_q|i psi> = Im<psi|d_q>
-    y = _sample_pm1(y_mean, plan, [f"metric:y:q{q}" for q in range(P)], "Y", records)
+    y = _sample_pm1(y_mean, plan, [f"metric:y:q{q}" for q in range(P)], records)
     rows, cols = np.triu_indices(P)
     x = _sample_pm1(_gram(D)[rows, cols], plan,  # Re<d_p|d_q>
-                    [f"metric:x:p{p}q{q}" for p, q in zip(rows, cols)], "X", records)
+                    [f"metric:x:p{p}q{q}" for p, q in zip(rows.tolist(), cols.tolist())],
+                    records)
     g = np.empty((P, P))
     g[rows, cols] = g[cols, rows] = x - y[rows] * y[cols]
     return g
@@ -131,5 +131,5 @@ def sample_pauli_expectation(state: StateVector, obs: PauliString, plan: ShotPla
         name = "".join(f"{l}{s}" for s, l in sorted(obs.ops.items())) or "I"
         circuit_id = f"pauli:{name}"
     records = []
-    _sample_pm1([pauli_expectation(state, obs)], plan, [circuit_id], "X", records)
+    _sample_pm1([pauli_expectation(state, obs)], plan, [circuit_id], records)
     return records[0]

@@ -38,28 +38,6 @@ Q = 1j * cmath.exp(1j * math.pi / 4)
 
 
 @dataclass(frozen=True)
-class BraidOperator:
-    index: int  # 1-based, 1..2L-1
-    L: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= 2 * self.L - 1:
-            raise ValueError("braid index outside 1..2L-1")
-
-    @property
-    def generator(self) -> PauliString:
-        if self.index % 2 == 1:
-            j = (self.index + 1) // 2
-            return PauliString.from_ops({j - 1: "X"})
-        j = self.index // 2
-        return PauliString.from_ops({j - 1: "Z", j: "Z"})
-
-    def rotation(self) -> tuple[complex, RotationGate]:
-        """(scalar, gate) with g^{-1} = scalar * exp(-i angle G)."""
-        return 1 / Q, RotationGate(self.generator, math.pi / 4)
-
-
-@dataclass(frozen=True)
 class LoopOperator:
     L: int
 
@@ -71,20 +49,25 @@ class LoopOperator:
     def prefactor(self) -> complex:
         return (-Q) ** self.L
 
-    def braids(self) -> list[BraidOperator]:
-        return [BraidOperator(k, self.L) for k in range(1, 2 * self.L)]
+    def inverse_rotations(self):
+        """exp(-i pi/4 G_k) for k = 2L-1 down to 1, the order a circuit
+        applies the inverse braids g_k^{-1} = exp(-i pi/4 G_k) / q; G_k is
+        X_s for k = 2s+1 and Z_s Z_{s+1} for k = 2s+2 (0-based sites s)."""
+        for k in range(2 * self.L - 1, 0, -1):
+            s = (k - 1) // 2
+            ops = {s: "X"} if k % 2 else {s: "Z", s + 1: "Z"}
+            yield RotationGate(PauliString.from_ops(ops), math.pi / 4)
 
 
 def _loop_overlap(state: StateVector) -> complex:
     """(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>: the rotations act on a
-    copy of psi and their scalars multiply once. Ybar's expectation is twice
-    its real part, which is also the ancilla test's X mean."""
+    copy of psi and their scalars 1/q multiply once. Ybar's expectation is
+    twice its real part, which is also the ancilla test's X mean."""
     loop = LoopOperator(state.n_qubits)
     amps = state.amplitudes.copy()
     scalar = loop.prefactor
-    for braid in reversed(loop.braids()):
-        phase, rot = braid.rotation()
-        scalar *= phase
+    for rot in loop.inverse_rotations():
+        scalar *= 1 / Q
         rotation_apply_raw(amps, rot)
     return scalar * complex(np.vdot(state.amplitudes, amps))
 
@@ -100,8 +83,8 @@ def ybar_shots(state: StateVector, plan: ShotPlan, ids) -> list[EstimateRecord]:
     sampled from it in one batch; values and error bars are twice the
     mean's."""
     records = []
-    _sample_pm1(np.full(len(ids), _loop_overlap(state).real), plan, ids, "X", records)
-    return [EstimateRecord(2.0 * r.value, 2.0 * r.std_error, r.shots_used, r.circuit_id, "X")
+    _sample_pm1(np.full(len(ids), _loop_overlap(state).real), plan, ids, records)
+    return [EstimateRecord(2.0 * r.value, 2.0 * r.std_error, r.shots_used, r.circuit_id)
             for r in records]
 
 
@@ -138,7 +121,7 @@ def correlator_profile_shot(state: StateVector, plan: ShotPlan, runs: int = 1,
     sampled = [r for r in rs if r != 1]
     recs = []
     _sample_pm1(np.repeat([correlator_zz(state, r) for r in sampled], runs), plan,
-                [f"corr:r{r}:run{run}" for r in sampled for run in range(runs)], "X", recs)
+                [f"corr:r{r}:run{run}" for r in sampled for run in range(runs)], recs)
     if records is not None:
         records.extend(recs)
     rows = {1: (1, 1.0, 0.0)}

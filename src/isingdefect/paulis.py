@@ -119,9 +119,6 @@ class WeightedPauliSum:
         for string, coeff in self._terms.items():
             yield coeff, string
 
-    def __len__(self):
-        return len(self._terms)
-
     def is_hermitian(self):
         return all(abs(c.imag) <= 1e-12 for c in self._terms.values())
 

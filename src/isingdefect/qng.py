@@ -5,9 +5,10 @@ The metric is the real part of
     G_pq = <d_p psi|d_q psi> - <d_p psi|psi><psi|d_q psi>
 
 and the update solves (g + lam I) d = grad, then steps Theta -> Theta - eta d.
-Derivative states come from `ansatz.derivative_sweep`, one block-fused pass of
+Derivative states come from `ansatz.circuit_pass`, one block-fused pass of
 the circuit over a (P+1)-row batch instead of P separate circuit runs; the
-gradient, the metric and the optimizer all read that batch.
+gradient, the metric and the optimizer all read that batch, and the
+optimizer sweeps every iteration into the one batch it holds.
 
 Regularization and step-halving are deterministic safeguards: lam starts at
 1e-4 and escalates tenfold when the shifted solve is not positive definite,
@@ -25,7 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import (
+    GROUP_BYTES,
     AnsatzSpec,
+    _blocks,
+    circuit_pass,
     derivative_sweep,
     gate_generators,
     init_params,
@@ -178,6 +182,17 @@ class TraceRow:
     rel_error: float
 
 
+def optimize_bytes(spec: AnsatzSpec) -> int:
+    """Bytes `optimize` holds at most: the (P+1)-row derivative batch; four
+    P x P arrays (the metric with the Gram product's terms, or with the
+    step's shifted metric and its factor); the X-block spare, at most
+    GROUP_BYTES; and 64 L bytes per amplitude for one run's sign rows or
+    derivative gather, the cached sign and flip tables and a few state
+    vectors. Every sweep writes over the one batch."""
+    P = parameter_count(spec)
+    return (16 * (P + 1) + 64 * spec.L) * 2**spec.L + 32 * P * P + GROUP_BYTES
+
+
 def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptions | None = None):
     """Ground-state search; returns (final OptimizerState, trace rows)."""
     opts = options or OptimizeOptions()
@@ -192,9 +207,12 @@ def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptio
         return expectation(prepare_state(spec, params), H)
 
     state = OptimizerState(params=init_params(spec, opts.seed))
+    # every sweep writes over the last one's rows, so one batch is held
+    batch = np.empty((state.params.size + 1, 1 << spec.L), dtype=np.complex128)
     trace = []
     while True:
-        psi, D = derivative_sweep(spec, state.params)
+        circuit_pass(_blocks(spec), state.params, spec.L, batch)
+        psi, D = batch[0], batch[1:]
         hpsi = sum_apply_raw(psi, H)
         energy = float(np.vdot(psi, hpsi).real)
         # columns Re<d_p|psi>, Im<d_p|psi> and Re<d_p|H psi>

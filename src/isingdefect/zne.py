@@ -47,8 +47,7 @@ from itertools import product
 
 import numpy as np
 
-from .ansatz import GROUP_BYTES, AnsatzSpec, apply_run, circuit_pass, gate_runs
-from .ansatz import gates as ansatz_gates
+from .ansatz import GROUP_BYTES, AnsatzSpec, apply_run, circuit_pass, gate_generators, gate_runs
 from .measure import EstimateRecord
 from .paulis import PauliString, WeightedPauliSum
 from .statevector import RotationGate, _zsigns, plus_state, sum_expectation_raw
@@ -113,7 +112,11 @@ def _weight(gate: RotationGate) -> int:
 
 
 def ansatz_circuit(spec: AnsatzSpec, params) -> Circuit:
-    return Circuit(spec.L, tuple(ansatz_gates(spec, params)))
+    """The ansatz's gates in firing order, gate p at angle params[p]."""
+    gens = gate_generators(spec)
+    if len(params) != len(gens):
+        raise ValueError(f"expected {len(gens)} parameters, got {len(params)}")
+    return Circuit(spec.L, tuple(RotationGate(g, float(t)) for g, t in zip(gens, params)))
 
 
 def fold_gates(circuit: Circuit, factor: float) -> Circuit:
@@ -176,12 +179,10 @@ def _error_records(rng, rows: int, noisy) -> dict:
     unhit = np.ones(rows, dtype=bool)
     records = {}
     for key, p, (xs, zs) in noisy:
-        hit = rng.random(rows) < p
-        n_hit = int(hit.sum())
-        if n_hit == 0:
+        hit_rows = np.flatnonzero(rng.random(rows) < p)
+        if hit_rows.size == 0:
             continue
-        picks = rng.integers(0, len(xs), n_hit)
-        hit_rows = np.flatnonzero(hit)
+        picks = rng.integers(0, len(xs), hit_rows.size)
         first = hit_rows[unhit[hit_rows]]
         unhit[first] = False
         records[key] = (hit_rows, first, xs[picks], zs[picks])
@@ -282,7 +283,7 @@ def noisy_expectation(circuit: Circuit, obs: WeightedPauliSum, noise: NoiseModel
     """Trajectory Monte Carlo mean of <obs> under per-gate Pauli noise."""
     values = _trajectory_values(circuit, obs, noise, trajectories, seed, stream)
     std_error = float(values.std() / np.sqrt(trajectories))
-    return EstimateRecord(float(values.mean()), std_error, trajectories, "zne", "X")
+    return EstimateRecord(float(values.mean()), std_error, trajectories, "zne")
 
 
 def extrapolate(schedule: ZneSchedule, values) -> float:

@@ -11,7 +11,6 @@ from isingdefect.ansatz import (
     derivative_sweep,
     gate_generators,
     gate_runs,
-    gates,
     init_params,
     parameter_count,
     prepare_state,
@@ -189,4 +188,4 @@ def test_validation():
     with pytest.raises(ValueError):
         prepare_state(spec, np.zeros(4))
     with pytest.raises(ValueError):
-        gates(spec, np.zeros(6))
+        zne.ansatz_circuit(spec, np.zeros(6))

@@ -30,10 +30,10 @@ def _plus(n):
     return np.full(2**n, 2 ** (-n / 2), dtype=complex)
 
 
-def _record(mean, plan, circuit_id, basis="X"):
+def _record(mean, plan, circuit_id):
     """The sampler's record of one circuit: a batch of one."""
     records = []
-    _sample_pm1([mean], plan, [circuit_id], basis, records)
+    _sample_pm1([mean], plan, [circuit_id], records)
     return records[0]
 
 
@@ -227,13 +227,13 @@ def test_sampler_batch_contract():
     means = np.array([-1.0, -0.4, 0.0, 0.3, 0.9, 1.0])
     plan = ShotPlan(shots=256, seed=8)
     first, again, other = [], [], []
-    values = _sample_pm1(means, plan, ids, "Y", first)
-    _sample_pm1(means, plan, ids, "Y", again)
-    _sample_pm1(means, ShotPlan(shots=256, seed=9), ids, "Y", other)
+    values = _sample_pm1(means, plan, ids, first)
+    _sample_pm1(means, plan, ids, again)
+    _sample_pm1(means, ShotPlan(shots=256, seed=9), ids, other)
     # one record per id, in id order; the same (seed, ids, means) repeats
     assert first == again
     assert [r.circuit_id for r in first] == ids
-    assert all(r.basis == "Y" and r.shots_used == 256 for r in first)
+    assert all(r.shots_used == 256 for r in first)
     assert np.array_equal(values, [r.value for r in first])
     assert [r.value for r in first[1:5]] != [r.value for r in other[1:5]]
     # outcomes of mean +/-1 are certain
@@ -242,7 +242,7 @@ def test_sampler_batch_contract():
     for rec in first[1:5]:
         assert rec.std_error == pytest.approx(math.sqrt((1 - rec.value**2) / 256))
     exact = []
-    assert np.array_equal(_sample_pm1(means, ANALYTIC, ids, "X", exact), means)
+    assert np.array_equal(_sample_pm1(means, ANALYTIC, ids, exact), means)
     assert [(r.value, r.std_error, r.shots_used) for r in exact] == [
         (m, 0.0, 0) for m in means]
 
@@ -281,7 +281,8 @@ def test_estimators_match_ancilla_circuit_oracle(L, boundary):
             spec, params, H, want = _oracle_case(L, N, boundary, v, [L, N, int(v == 0.7)])
             grad, metric, records = _estimates(spec, params, H, ANALYTIC)
             assert [r.circuit_id for r in records] == [cid for cid, _, _ in want]
-            assert [r.basis for r in records] == [basis for _, basis, _ in want]
+            # each id names its ancilla basis: metric:y: ids are the Y tests
+            assert all((basis == "Y") == cid.startswith("metric:y:") for cid, basis, _ in want)
             got = np.array([r.value for r in records])
             assert np.max(np.abs(got - [mean for _, _, mean in want])) < 1e-12
             assert np.max(np.abs(grad - gradient_exact(spec, params, H))) < 1e-12
@@ -300,7 +301,7 @@ def test_sampled_records_match_oracle_draws(L, boundary):
     oracle = []
     for _, batch in itertools.groupby(want, key=lambda w: (w[0].split(":")[0], w[1])):
         ids, bases, means = zip(*batch)
-        _sample_pm1(means, plan, ids, bases[0], oracle)
+        _sample_pm1(means, plan, ids, oracle)
     assert len(records) == len(want) == len(oracle)
     for rec, want_rec, (_, _, mean) in zip(records, oracle, want):
         if abs(mean) > 1e-12:

@@ -8,7 +8,7 @@ from isingdefect.ansatz import AnsatzSpec, init_params, prepare_state
 from isingdefect.measure import EstimateRecord, ShotPlan, _sample_pm1
 from isingdefect.model import ModelParams, build_hamiltonian
 from isingdefect.observables import (
-    BraidOperator,
+    Q,
     LoopOperator,
     correlator_profile,
     correlator_profile_shot,
@@ -48,11 +48,13 @@ def random_state(L, seed):
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_braids_match_dense_oracle_and_are_unitary(L):
     # the symbolic braids of the test oracle against its dense ones, and the
-    # package's inverse braid rotations against the dense inverses
-    for k in range(1, 2 * L):
-        phase, rot = BraidOperator(k, L).rotation()
+    # loop operator's inverse braid rotations, g_{2L-1}^-1 first, against
+    # the dense inverses
+    rotations = list(LoopOperator(L).inverse_rotations())
+    assert len(rotations) == 2 * L - 1
+    for k, rot in zip(range(2 * L - 1, 0, -1), rotations):
         G = {(rot.generator.x, rot.generator.z): 1.0}
-        assert np.allclose(phase * oracles.dense_rotation(oracles.dense(G, L), rot.angle),
+        assert np.allclose(oracles.dense_rotation(oracles.dense(G, L), rot.angle) / Q,
                            oracles.dense_braid(k, L, inverse=True), rtol=0, atol=1e-12)
         for inverse in (False, True):
             got = oracles.dense(oracles.braid_sum(k, inverse), L)
@@ -166,11 +168,11 @@ def test_loop_estimate_matches_ancilla_circuit_oracle(L, boundary):
         cid = f"ybar:oracle:L{L}:{boundary}:s{seed}"
         ids = [f"{cid}:run{run}" for run in range(4)]
         want = []
-        _sample_pm1([mean], plan, [cid], "X", want)
-        _sample_pm1([mean] * len(ids), plan, ids, "X", want)
+        _sample_pm1([mean], plan, [cid], want)
+        _sample_pm1([mean] * len(ids), plan, ids, want)
         got = [ybar_hadamard(spec, params, plan, circuit_id=cid)] + ybar_shots(psi, plan, ids)
         assert got == [EstimateRecord(2.0 * w.value, 2.0 * w.std_error, w.shots_used,
-                                      w.circuit_id, "X") for w in want]
+                                      w.circuit_id) for w in want]
 
 
 def test_ancilla_stays_pure_on_loop_eigenstate():
@@ -260,7 +262,7 @@ def test_profile_shot_records_are_one_batch_on_the_oracle_means():
     means = [oracles.pauli_mean(psi, {0: "Z", r - 1: "Z"}) for r in range(2, L + 1)]
     ids = [f"corr:r{r}:run{run}" for r in range(2, L + 1) for run in range(runs)]
     want = []
-    _sample_pm1(np.repeat(means, runs), plan, ids, "X", want)
+    _sample_pm1(np.repeat(means, runs), plan, ids, want)
     assert records == want
     assert rows[0] == (1, 1.0, 0.0)
     for (r, value, se), k in zip(rows[1:], range(0, len(want), runs)):
@@ -269,11 +271,7 @@ def test_profile_shot_records_are_one_batch_on_the_oracle_means():
         assert se == pytest.approx(math.hypot(*[w.std_error for w in block]) / runs)
 
 
-def test_braid_index_validation():
-    with pytest.raises(ValueError):
-        BraidOperator(0, 4)
-    with pytest.raises(ValueError):
-        BraidOperator(8, 4)
+def test_loop_operator_validation():
     with pytest.raises(ValueError):
         LoopOperator(1)
     with pytest.raises(ValueError, match="L <= 8"):

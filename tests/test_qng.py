@@ -21,6 +21,7 @@ from isingdefect.qng import (
     gradient_exact,
     metric_exact,
     optimize,
+    optimize_bytes,
     qng_step,
 )
 from isingdefect.statevector import expectation, sum_apply_raw
@@ -361,3 +362,33 @@ def test_optimize_flags_non_convergence():
 def test_optimize_rejects_mismatched_boundary():
     with pytest.raises(ValueError):
         optimize(AnsatzSpec(L=4, N=2, boundary="open"), ModelParams(L=4, b=1))
+
+
+@pytest.mark.parametrize("L, N, boundary, v, max_iters", [
+    (8, 4, "periodic", 0.0, 500), (10, 5, "periodic", 0.0, 500), (12, 6, "open", 4.0, 500),
+    # the P x P arrays lead at many layers, one run's temporaries at L = 14
+    (4, 40, "periodic", 0.0, 10), (14, 1, "open", 0.0, 5),
+])
+def test_optimize_memory_stays_within_its_bound(L, N, boundary, v, max_iters):
+    # `validate` refuses an optimize config past physical memory by this
+    # bound. A one-iteration run first loads what optimize imports on first
+    # use; the package's sign, flip and run caches are then emptied, so that
+    # they count
+    import tracemalloc
+
+    from isingdefect import ansatz, statevector
+
+    spec = AnsatzSpec(L=L, N=N, boundary=boundary)
+    mp = ModelParams(L=L, b=int(boundary == "periodic"), v=v)
+    optimize(spec, mp, OptimizeOptions(max_iters=1))
+    for cache in (ansatz.gate_generators, ansatz._blocks, ansatz._s_dagger,
+                  ansatz._factor_tables, ansatz._flip_tables, statevector._zsigns,
+                  statevector._perm):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        optimize(spec, mp, OptimizeOptions(max_iters=max_iters))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= optimize_bytes(spec)

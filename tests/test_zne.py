@@ -418,3 +418,32 @@ def test_trajectory_memory_stays_within_its_bound(p2, v):
     finally:
         tracemalloc.stop()
     assert peak <= zne.trajectory_bytes(circ, 2048)
+
+
+@pytest.mark.parametrize("p2", [0.01, 0.5])
+@pytest.mark.parametrize("v", [0.0, 4.0])
+def test_trajectory_rows_do_not_depend_on_their_batch(p2, v):
+    # a row's value comes from its own error record alone: split a chunk's
+    # erring rows into two interleaved halves by join order, and each half,
+    # run as a batch of its own with the other half's rows left clean, gives
+    # its rows and the never-erring ones the full run's bytes
+    spec = AnsatzSpec(L=8, N=2, boundary="open")
+    circ = ansatz_circuit(spec, 50 * init_params(spec, seed=2))
+    H = build_hamiltonian(ModelParams(L=8, v=v))
+    noise = NoiseModel(p2=p2, p1=0.02)
+    noisy = [(p, noise.p2 if len(g.generator.ops) == 2 else noise.p1,
+              zne._error_masks(g.generator)) for p, g in enumerate(circ.gates)]
+    records = zne._error_records(np.random.default_rng([5, 0, 0]), zne.CHUNK, noisy)
+    full = zne._chunk_values(circ, H, records, zne.CHUNK)
+    joined = np.concatenate([first for _, first, _, _ in records.values()])
+    clean = np.setdiff1d(np.arange(zne.CHUNK), joined)
+    assert joined.size > 1 and (clean.size > 0 or p2 == 0.5)
+    for half in (joined[0::2], joined[1::2]):
+        part = {}
+        for key, (hit_rows, first, ex, ez) in records.items():
+            keep = np.isin(hit_rows, half)
+            if keep.any():
+                part[key] = (hit_rows[keep], first[np.isin(first, half)], ex[keep], ez[keep])
+        got = zne._chunk_values(circ, H, part, zne.CHUNK)
+        rows = np.concatenate([half, clean])
+        assert got[rows].tobytes() == full[rows].tobytes()
