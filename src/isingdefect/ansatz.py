@@ -16,16 +16,18 @@ runs block by block, and `apply_run` is the one executor of a block.
 Consecutive gates that commute form one block (`gate_runs`, which `zne`
 shares for folded gate lists): a diagonal block (the Z fields of layer a
 with the ZZ bonds of layer a+1) is one phase-vector multiply
-exp(-i sum_p t_p s_p). An X block is P R P, with P = S^dag on every site and
-R = prod_i (cos t_i Z_i + sin t_i X_i) real: a few Kronecker factors of at
-most FACTOR_SITES adjacent sites, applied by real matmul on the float64
-view. A diagonal block next to an X block multiplies that block's P into its
-phase vector, so between the two the rows hold P or P^dag times the state. A
-derivative insertion -i O_p commutes with the rest of its block, so
-`derivative_sweep` writes all of a block's derivative rows at once, at the
-block's end: from the sign rows `apply_run` returns for a diagonal block,
-and for an X block as one gather, X_s Z_s psi while the rows hold P^dag and
--i X_s psi otherwise.
+exp(-i sum_p t_p s_p), its sign rows s_p stacked once per run's strings and
+cached read-only (`_sign_rows`). An X block is P R P, with P = S^dag on
+every site and R = prod_i (cos t_i Z_i + sin t_i X_i) real: a few Kronecker
+factors of at most FACTOR_SITES adjacent sites, applied by real matmul on
+the float64 view. A diagonal block next to an X block multiplies that
+block's P into its phase vector, as one multiply by a cached power of P, so
+between the two the rows hold P or P^dag times the state. A derivative
+insertion -i O_p commutes with the rest of its block, so `derivative_sweep`
+writes all of a block's derivative rows at once, at the block's end: from
+the cached sign rows `apply_run` returns for a diagonal block, and for an X
+block as one gather, X_s Z_s psi while the rows hold P^dag and -i X_s psi
+otherwise.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .paulis import PauliString, parity_signs
-from .statevector import StateVector, _zsigns, plus_state
+from .statevector import StateVector
 
 _BOUNDARIES = ("open", "periodic")
 FACTOR_SITES = 5  # widest Kronecker factor of an X block, in sites
@@ -113,9 +115,11 @@ def _blocks(spec: AnsatzSpec) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _s_dagger(dim: int) -> np.ndarray:
-    """P = S^dag on every site, diag((-i)^popcount(k)), exact and read-only."""
-    P = np.array([1, -1j, -1, 1j])[np.bitwise_count(np.arange(dim, dtype=np.uint64)) & 3]
+def _s_dagger(dim: int, power: int) -> np.ndarray:
+    """P^power, P = S^dag on every site: diag((-i)^(power popcount(k))),
+    entries exactly +-1 and +-i, read-only."""
+    turns = power * np.bitwise_count(np.arange(dim, dtype=np.uint64))
+    P = np.array([1, -1j, -1, 1j])[turns & 3]
     P.setflags(write=False)
     return P
 
@@ -189,15 +193,23 @@ def _x_block(batch, sites, angles, L: int) -> None:
             group[...] = src
 
 
+@lru_cache(maxsize=32)
+def _sign_rows(keys: tuple, dim: int) -> np.ndarray:
+    """The sign rows s_p of a Z run's strings (Z masks), stacked, read-only."""
+    signs = parity_signs(np.array(keys), dim)
+    signs.setflags(write=False)
+    return signs
+
+
 def _z_block(batch, keys, angles, dim: int, turns: int) -> np.ndarray:
     """In-place P^turns exp(-i sum_p t_p Z_p) over diagonal strings (Z
-    masks), as one phase-vector multiply; returns the sign rows s_p."""
-    signs = np.array([_zsigns(z, dim) for z in keys])
+    masks), as one phase-vector multiply; returns the cached sign rows s_p."""
+    signs = _sign_rows(keys, dim)
     arg = angles @ signs
     phase = np.empty(dim, dtype=np.complex128)
     phase.real, phase.imag = np.cos(arg), -np.sin(arg)
-    for _ in range(turns):
-        phase *= _s_dagger(dim)
+    if turns:
+        phase *= _s_dagger(dim, turns)
     batch *= phase
     return signs
 
@@ -211,10 +223,10 @@ def apply_run(batch, run, angles, L: int):
     if kind == "z":
         return _z_block(batch, keys, angles, 1 << L, before + after)
     if not before:
-        batch *= _s_dagger(1 << L)
+        batch *= _s_dagger(1 << L, 1)
     _x_block(batch, keys, angles, L)
     if not after:
-        batch *= _s_dagger(1 << L)
+        batch *= _s_dagger(1 << L, 1)
     return None
 
 
@@ -224,14 +236,14 @@ def circuit_pass(runs, angles, L: int, batch=None) -> np.ndarray:
     written before it is read, so a batch can be reused. Without one, the
     pass makes a one-row batch."""
     angles = np.asarray(angles, dtype=np.float64)
-    if len(angles) != sum(run[2] - run[1] for run in runs):
+    if len(angles) != (runs[-1][2] if runs else 0):
         raise ValueError("parameter count mismatch")
     dim = 1 << L
     derivatives = batch is not None
     if batch is None:
         batch = np.empty((1, dim), dtype=np.complex128)
-    batch[0] = plus_state(L).amplitudes
     psi = batch[0]
+    psi.fill(1.0 / np.sqrt(dim))  # |+>, as `plus_state` writes it
     for run in runs:
         _, start, stop, keys, (_, after) = run
         # psi and the derivative rows made so far
@@ -245,7 +257,6 @@ def circuit_pass(runs, angles, L: int, batch=None) -> np.ndarray:
                 # P^dag (-i X_s) P = X_s Z_s
                 index, sign = _flip_tables(keys, dim)
                 np.multiply(psi[index], sign if after else -1j, out=rows)
-        del signs  # a Z run's sign rows go before the next run
     return batch
 
 

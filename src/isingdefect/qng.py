@@ -21,7 +21,7 @@ evaluated, and computes no step on its last allowed iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,10 +131,11 @@ def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> Opti
     if metric.shape != (P, P):
         raise ValueError("metric dimensions do not match gradient")
     lam = LAM
+    shifted = metric.copy()
     for attempt in range(7):
         if attempt:
             lam *= 10
-        shifted = metric + lam * np.eye(P)
+        np.fill_diagonal(shifted, metric.diagonal() + lam)
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -152,13 +153,10 @@ def qng_step(state: OptimizerState, grad, metric, eta: float, energy_fn) -> Opti
             break
         eta *= 0.5
     else:
-        return replace(state, stop_reason="rejected")
-    return replace(
-        state,
-        params=new_params,
-        iteration=state.iteration + 1,
-        energy=new_energy,
-    )
+        return OptimizerState(state.params, state.iteration, state.energy, state.grad_norm,
+                              "rejected")
+    return OptimizerState(new_params, state.iteration + 1, new_energy, state.grad_norm,
+                          state.stop_reason)
 
 
 @dataclass
@@ -186,11 +184,13 @@ def optimize_bytes(spec: AnsatzSpec) -> int:
     """Bytes `optimize` holds at most: the (P+1)-row derivative batch; four
     P x P arrays (the metric with the Gram product's terms, or with the
     step's shifted metric and its factor); the X-block spare, at most
-    GROUP_BYTES; and 64 L bytes per amplitude for one run's sign rows or
-    derivative gather, the cached sign and flip tables and a few state
-    vectors. Every sweep writes over the one batch."""
+    GROUP_BYTES; and 80 L bytes per amplitude for the cached sign rows of
+    the ansatz's Z runs (`ansatz._sign_rows`: at most 4L rows, the first
+    bonds, the fields with the next bonds and the last fields), the cached
+    flip tables, one X run's derivative gather and a few state vectors.
+    Every sweep writes over the one batch."""
     P = parameter_count(spec)
-    return (16 * (P + 1) + 64 * spec.L) * 2**spec.L + 32 * P * P + GROUP_BYTES
+    return (16 * (P + 1) + 80 * spec.L) * 2**spec.L + 32 * P * P + GROUP_BYTES
 
 
 def optimize(spec: AnsatzSpec, model_params: ModelParams, options: OptimizeOptions | None = None):

@@ -121,8 +121,8 @@ def ansatz_circuit(spec: AnsatzSpec, params) -> Circuit:
 
 def fold_gates(circuit: Circuit, factor: float) -> Circuit:
     """Fold trailing two-qubit gates until the count best matches factor."""
-    if factor < 1:
-        raise ValueError("noise factor must be >= 1")
+    if not 1 <= factor < math.inf:  # NaN fails both comparisons
+        raise ValueError("noise factor must be finite and >= 1")
     idx2 = [i for i, g in enumerate(circuit.gates) if _weight(g) == 2]
     k = int((factor - 1) * len(idx2) / 2 + 0.5)
     if k == 0:
@@ -215,7 +215,8 @@ def trajectory_bytes(circuit: Circuit, trajectories: int) -> int:
     rows, then one batch-sized copy (to read an observable term neither
     diagonal nor one X) or under 3 GROUP_BYTES of `_frame` and X-run
     temporaries; per gate, 32 per row (error records) and 48 per amplitude
-    (its run's sign rows, their sums, cached signs); 16 per value."""
+    (its run's cached sign rows, their sums, cached error signs); 16 per
+    value."""
     rows = min(CHUNK, trajectories)
     batch = 16 * (rows + 1) << circuit.n_qubits
     return (batch + max(batch, 3 * GROUP_BYTES) + 16 * trajectories

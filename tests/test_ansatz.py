@@ -154,6 +154,31 @@ def test_x_block_products_are_real_and_single_threaded(monkeypatch):
             products.clear()
 
 
+def test_warm_and_cold_caches_give_the_same_bytes(clear_package_caches):
+    # a pass reads cached sign rows, flip tables and powers of P; one that
+    # builds them and one that reads them must agree to the byte. At p2 = 0.2
+    # and p1 = 0.1 the trajectories take X-run frames and last-gate frames
+    spec = AnsatzSpec(L=6, N=3, boundary="periodic")
+    params = 100 * init_params(spec, seed=4)
+    circ = zne.fold_gates(zne.ansatz_circuit(spec, params), 2.0)
+    H = build_hamiltonian(ModelParams(L=6, b=1, v=4.0))
+
+    def outputs():
+        psi, D = derivative_sweep(spec, params)
+        values = zne._trajectory_values(circ, H, zne.NoiseModel(p2=0.2, p1=0.1), 300, 7, 0)
+        return (psi.tobytes(), D.tobytes(), prepare_state(spec, params).amplitudes.tobytes(),
+                values.tobytes())
+
+    clear_package_caches()
+    cold = outputs()
+    assert outputs() == cold
+    run = ansatz._blocks(spec)[0]
+    signs = ansatz.apply_run(np.ones((1, 64), dtype=complex), run, np.zeros(len(run[3])), 6)
+    assert signs is ansatz._sign_rows(run[3], 64)
+    with pytest.raises(ValueError, match="read-only"):
+        signs[0, 0] = 1.0
+
+
 def test_angle_shift_by_two_pi_is_identity():
     spec = AnsatzSpec(L=2, N=2)
     params = init_params(spec, seed=1)

@@ -127,7 +127,7 @@ def test_validate_flags_each_problem():
 
 
 def test_validate_counts_the_zne_trajectory_batch(monkeypatch):
-    # on a 10 MB host, L=10 with N=1 optimizes in 3.3 MB, but zne's
+    # on a 10 MB host, L=10 with N=1 optimizes in 3.4 MB, but zne's
     # trajectories (CHUNK states and the clean one, a copy of them and the
     # error records of the circuit folded to factor 3) need 73 MB
     pages = {"SC_PHYS_PAGES": 2560, "SC_PAGE_SIZE": 4096}

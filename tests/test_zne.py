@@ -103,6 +103,14 @@ def test_fold_rejects_factor_below_one():
         fold_gates(circ, 0.8)
 
 
+@pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+def test_fold_rejects_non_finite_factors(factor):
+    # ZneSchedule refuses these too; a direct call must not reach int()
+    _, circ = _small_circuit()
+    with pytest.raises(ValueError, match="noise factor must be finite and >= 1"):
+        fold_gates(circ, factor)
+
+
 def test_zero_noise_reproduces_exact_value():
     _, circ = _small_circuit()
     H = build_hamiltonian(ModelParams(L=4))
@@ -402,15 +410,17 @@ def test_circuit_refuses_gates_outside_its_set_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("p2", [0.01, 0.5])
 @pytest.mark.parametrize("v", [0.0, 4.0])
-def test_trajectory_memory_stays_within_its_bound(p2, v):
+def test_trajectory_memory_stays_within_its_bound(p2, v, clear_package_caches):
     # `validate` refuses a zne config past physical memory by this bound; at
     # p2 = 0.5 most of a chunk's 2048 rows err, and at v = 4 the defect term
-    # takes a batch-sized copy while the observable is read
+    # takes a batch-sized copy while the observable is read. Every package
+    # cache is emptied first, so that the tables the run builds count
     import tracemalloc
 
     spec = AnsatzSpec(L=8, N=1, boundary="open")
     circ = ansatz_circuit(spec, init_params(spec, seed=1))
     H = build_hamiltonian(ModelParams(L=8, v=v))
+    clear_package_caches()
     tracemalloc.start()
     try:
         zne._trajectory_values(circ, H, NoiseModel(p2=p2), 2048, 3, 0)
