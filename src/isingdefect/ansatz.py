@@ -16,18 +16,19 @@ runs block by block, and `apply_run` is the one executor of a block.
 Consecutive gates that commute form one block (`gate_runs`, which `zne`
 shares for folded gate lists): a diagonal block (the Z fields of layer a
 with the ZZ bonds of layer a+1) is one phase-vector multiply
-exp(-i sum_p t_p s_p), its sign rows s_p stacked once per run's strings and
-cached read-only (`_sign_rows`). An X block is P R P, with P = S^dag on
-every site and R = prod_i (cos t_i Z_i + sin t_i X_i) real: a few Kronecker
-factors of at most FACTOR_SITES adjacent sites, applied by real matmul on
-the float64 view. A diagonal block next to an X block multiplies that
-block's P into its phase vector, as one multiply by a cached power of P, so
-between the two the rows hold P or P^dag times the state. A derivative
-insertion -i O_p commutes with the rest of its block, so `derivative_sweep`
-writes all of a block's derivative rows at once, at the block's end: from
-the cached sign rows `apply_run` returns for a diagonal block, and for an X
-block as one gather, X_s Z_s psi while the rows hold P^dag and -i X_s psi
-otherwise.
+exp(-i sum_p t_p s_p), its sign rows s_p stacked per run's strings in
+`paulis.pauli_table`, the one owner of every index and sign row. An X
+block is P R P, with P = S^dag on every site and R = prod_i (cos t_i Z_i +
+sin t_i X_i) real: a few Kronecker factors of at most FACTOR_SITES
+adjacent sites, applied by real matmul on the float64 view. A diagonal
+block next to an X block multiplies that block's P into its phase vector,
+as one multiply by a cached power of P, so between the two the rows hold
+P or P^dag times the state. A derivative insertion -i O_p commutes with
+the rest of its block, so `derivative_sweep` writes all of a block's
+derivative rows at once, at the block's end: from the cached sign rows
+`apply_run` returns for a diagonal block, and for an X block as one
+gather of the table's X_s Z_s rows, X_s Z_s psi while the rows hold P^dag
+and -i X_s psi otherwise.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, parity_signs
+from .paulis import PauliString, parity_signs, pauli_table
 from .statevector import StateVector
 
 _BOUNDARIES = ("open", "periodic")
@@ -135,14 +136,6 @@ def _factor_tables(width: int):
     return bits, m[:, None] ^ m[None, :], parity_signs(m, 1 << width)
 
 
-@lru_cache(maxsize=32)
-def _flip_tables(sites: tuple, dim: int):
-    """Per site s, the index k ^ 2^s and the sign -(-1)^bit_s(k): X_s Z_s psi
-    is sign * psi[index]."""
-    masks = np.array([1 << s for s in sites])
-    return np.arange(dim) ^ masks[:, None], -parity_signs(masks, dim)
-
-
 def _x_block(batch, sites, angles, L: int) -> None:
     """In-place R = prod_i (cos t_i Z_i + sin t_i X_i) over distinct sites:
     exp(-i t X) = S^dag (cos t Z + sin t X) S^dag, so the X rotations are
@@ -193,18 +186,10 @@ def _x_block(batch, sites, angles, L: int) -> None:
             group[...] = src
 
 
-@lru_cache(maxsize=32)
-def _sign_rows(keys: tuple, dim: int) -> np.ndarray:
-    """The sign rows s_p of a Z run's strings (Z masks), stacked, read-only."""
-    signs = parity_signs(np.array(keys), dim)
-    signs.setflags(write=False)
-    return signs
-
-
 def _z_block(batch, keys, angles, dim: int, turns: int) -> np.ndarray:
     """In-place P^turns exp(-i sum_p t_p Z_p) over diagonal strings (Z
     masks), as one phase-vector multiply; returns the cached sign rows s_p."""
-    signs = _sign_rows(keys, dim)
+    signs = pauli_table(0, keys, dim)[1]
     arg = angles @ signs
     phase = np.empty(dim, dtype=np.complex128)
     phase.real, phase.imag = np.cos(arg), -np.sin(arg)
@@ -255,7 +240,8 @@ def circuit_pass(runs, angles, L: int, batch=None) -> np.ndarray:
             else:
                 # -i X_s psi; while the rows hold P^dag times the state,
                 # P^dag (-i X_s) P = X_s Z_s
-                index, sign = _flip_tables(keys, dim)
+                masks = tuple(1 << s for s in keys)
+                index, sign = pauli_table(masks, masks, dim)
                 np.multiply(psi[index], sign if after else -1j, out=rows)
     return batch
 

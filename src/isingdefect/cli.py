@@ -297,7 +297,7 @@ def _circuit_instance(config, idx, L, v, dump_hamiltonian, dump_state):
     runs, shots = config.default_runs(), config.default_shots()
     seed = config.seed + idx
     mp = ModelParams(L=L, b=config.b, v=v, j=config.j)
-    spec = AnsatzSpec(L=L, N=config.N or L // 2, boundary=mp.boundary)
+    spec = AnsatzSpec(L=L, N=L // 2 if config.N is None else config.N, boundary=mp.boundary)
     state, trace = optimize(spec, mp, OptimizeOptions(
         eta=config.eta, max_iters=config.max_iters, seed=seed))
     psi = prepare_state(spec, state.params)

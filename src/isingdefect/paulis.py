@@ -7,10 +7,12 @@ Conventions used across the package:
   X/Z site bitmasks: it denotes i^n_y X^xmask Z^zmask, since Y_j = i X_j Z_j
   sets both mask bits and carries its own factor of i
 - every other scalar lives on a WeightedPauliSum coefficient
+- `pauli_table` is the one owner of the rows that apply X^x Z^z to amplitudes
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +133,21 @@ def parity_signs(mask, dim: int):
     return 1.0 - 2.0 * (np.bitwise_count(idx & masks) & 1)
 
 
+@lru_cache(maxsize=32)
+def pauli_table(x, z, dim: int):
+    """(index, signs), cached read-only, with (X^x Z^z v)[k] = signs[k] v[index[k]]:
+    index[k] = k ^ x, None when x is 0, and signs[k] = (-1)^popcount((k ^ x) & z),
+    the sign of the source amplitude. x and z are masks, or equal-length
+    tuples of masks (an int broadcasts) for one row per string."""
+    moved = np.arange(dim, dtype=np.uint64) ^ np.asarray(x, dtype=np.uint64)[..., None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(moved & np.asarray(z, dtype=np.uint64)[..., None]) & 1)
+    index = moved.astype(np.int64) if np.any(x) else None
+    signs.setflags(write=False)
+    if index is not None:
+        index.setflags(write=False)
+    return index, signs
+
+
 def dense_matrix(H: WeightedPauliSum):
     """Dense matrix of a weighted Pauli sum, real when every term is.
 
@@ -142,13 +159,11 @@ def dense_matrix(H: WeightedPauliSum):
     if n > DENSE_LIMIT:
         raise ValueError(f"dense conversion guarded to n <= {DENSE_LIMIT}")
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    cols = idx.astype(np.int64)
+    rows = np.arange(dim)
     real = all(c.imag == 0.0 and string.n_y % 2 == 0 for c, string in H.terms())
     mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     for coeff, string in H.terms():
-        signs = parity_signs(string.z, dim)
-        rows = (idx ^ np.uint64(string.x)).astype(np.int64)
+        index, signs = pauli_table(string.x, string.z, dim)
         weight = coeff * _PHASES[string.e]
-        mat[rows, cols] += (weight.real if real else weight) * signs
+        mat[rows, rows if index is None else index] += (weight.real if real else weight) * signs
     return mat

@@ -184,10 +184,10 @@ def optimize_bytes(spec: AnsatzSpec) -> int:
     """Bytes `optimize` holds at most: the (P+1)-row derivative batch; four
     P x P arrays (the metric with the Gram product's terms, or with the
     step's shifted metric and its factor); the X-block spare, at most
-    GROUP_BYTES; and 80 L bytes per amplitude for the cached sign rows of
-    the ansatz's Z runs (`ansatz._sign_rows`: at most 4L rows, the first
-    bonds, the fields with the next bonds and the last fields), the cached
-    flip tables, one X run's derivative gather and a few state vectors.
+    GROUP_BYTES; and 80 L bytes per amplitude for the rows `paulis.pauli_table`
+    caches (the Z runs' sign rows, at most 4L: the first bonds, the fields
+    with the next bonds and the last fields; the X runs' derivative index and
+    sign rows), one X run's derivative gather and a few state vectors.
     Every sweep writes over the one batch."""
     P = parameter_count(spec)
     return (16 * (P + 1) + 80 * spec.L) * 2**spec.L + 32 * P * P + GROUP_BYTES

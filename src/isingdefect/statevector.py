@@ -8,23 +8,27 @@ construction, so every rotation is unitary.
 
 The public API reads StateVector values. The _raw helpers work on arrays
 whose last axis is the Hilbert dimension (rotations in place), so a
-(k, 2^n) batch evolves through a gate in one vectorized call; the
-optimizer and measurement modules build on them.
+(k, 2^n) batch evolves through a gate in one vectorized call, reading a
+Pauli string's index and sign rows from `paulis.pauli_table`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .paulis import _PHASES, PauliString, WeightedPauliSum, parity_signs
+from .paulis import _PHASES, PauliString, WeightedPauliSum, pauli_table
 
 
 @dataclass
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.amplitudes) != (1 << self.n_qubits,):
+            raise ValueError(f"register size mismatch: {self.n_qubits} qubits, amplitudes "
+                             f"of shape {np.shape(self.amplitudes)}")
 
 
 @dataclass(frozen=True)
@@ -48,22 +52,6 @@ def plus_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-@lru_cache(maxsize=None)
-def _zsigns(zmask: int, dim: int):
-    """`parity_signs(zmask, dim)`, cached read-only."""
-    signs = parity_signs(zmask, dim)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _perm(xmask: int, dim: int):
-    idx = np.arange(dim, dtype=np.uint64)
-    perm = (idx ^ np.uint64(xmask)).astype(np.int64)
-    perm.setflags(write=False)
-    return perm
-
-
 def _pair_view(batch: np.ndarray, site: int, dim: int) -> np.ndarray:
     """View (..., dim) as (..., high, 2, low), the 2-axis being `site`'s bit."""
     return batch.reshape(batch.shape[:-1] + (dim >> (site + 1), 2, -1))
@@ -72,12 +60,10 @@ def _pair_view(batch: np.ndarray, site: int, dim: int) -> np.ndarray:
 def pauli_apply_raw(batch: np.ndarray, string: PauliString) -> np.ndarray:
     """Return string = i^e X^x Z^z applied to every state along the last
     axis (new array)."""
-    dim = batch.shape[-1]
-    out = np.take(batch, _perm(string.x, dim), axis=-1) if string.x else batch.copy()
+    index, signs = pauli_table(string.x, string.z, batch.shape[-1])
+    out = batch.copy() if index is None else np.take(batch, index, axis=-1)
     if string.z:
-        # sign from the source basis state, i.e. the permuted index
-        signs = _zsigns(string.z, dim)
-        out *= signs[_perm(string.x, dim)] if string.x else signs
+        out *= signs
     if string.e:
         out *= _PHASES[string.e]
     return out

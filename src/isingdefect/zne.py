@@ -49,8 +49,8 @@ import numpy as np
 
 from .ansatz import GROUP_BYTES, AnsatzSpec, apply_run, circuit_pass, gate_generators, gate_runs
 from .measure import EstimateRecord
-from .paulis import PauliString, WeightedPauliSum
-from .statevector import RotationGate, _zsigns, plus_state, sum_expectation_raw
+from .paulis import PauliString, WeightedPauliSum, pauli_table
+from .statevector import RotationGate, plus_state, sum_expectation_raw
 
 _LETTERS = ("I", "X", "Y", "Z")
 CHUNK = 2048  # trajectories per error-record draw; chunk k draws from [seed, stream, k]
@@ -200,9 +200,9 @@ def _frame(B, at, S, xs, zs) -> None:
         erring = B[rows]
         if S is not None:
             erring *= S.conj()
-        # Z^z multiplies amplitude i by (-1)^popcount(z & i); X^x then moves
-        # it to i ^ x, which within row r is flat index r dim + i ^ x
-        erring *= np.array([_zsigns(z, dim) for z in zs[part].tolist()])
+        # Z^z multiplies amplitude i by its cached sign (-1)^popcount(z & i);
+        # X^x then moves it to i ^ x, which within row r is flat index r dim + i ^ x
+        erring *= np.array([pauli_table(0, z, dim)[1] for z in zs[part].tolist()])
         erring = erring.take(np.arange(rows.size)[:, None] * dim
                              + (np.arange(dim) ^ xs[part, None]))
         if S is not None:
@@ -215,8 +215,8 @@ def trajectory_bytes(circuit: Circuit, trajectories: int) -> int:
     rows, then one batch-sized copy (to read an observable term neither
     diagonal nor one X) or under 3 GROUP_BYTES of `_frame` and X-run
     temporaries; per gate, 32 per row (error records) and 48 per amplitude
-    (its run's cached sign rows, their sums, cached error signs); 16 per
-    value."""
+    (its run's sign rows and error sign rows, both cached in
+    `paulis.pauli_table`, and their sums); 16 per value."""
     rows = min(CHUNK, trajectories)
     batch = 16 * (rows + 1) << circuit.n_qubits
     return (batch + max(batch, 3 * GROUP_BYTES) + 16 * trajectories

@@ -714,6 +714,15 @@ PUBLIC_NAMES = {
 }
 
 
+# Every `lru_cache` of the package and its maxsize (None: unbounded). A
+# cache that holds rows of amplitudes counts toward `qng.optimize_bytes` and
+# `zne.trajectory_bytes`: a cache added here must be added to them as well.
+CACHED_FUNCTIONS = {
+    "ansatz.gate_generators": 32, "ansatz._blocks": 32, "ansatz._s_dagger": None,
+    "ansatz._factor_tables": None, "paulis.pauli_table": 32, "zne._error_masks": None,
+}
+
+
 # Every settable value of the package: each defaulted parameter of a public
 # function or method, and each field of a public dataclass, reached from
 # `isingdefect.__all__`. A setting that only tests set is a constant; a
@@ -787,6 +796,22 @@ def test_public_names_are_pinned():
     import isingdefect
 
     assert set(isingdefect.__all__) == PUBLIC_NAMES
+
+
+def test_cached_functions_are_pinned():
+    import importlib
+    import pkgutil
+
+    import isingdefect
+
+    found = {}
+    for info in pkgutil.iter_modules(isingdefect.__path__):
+        module = importlib.import_module(f"isingdefect.{info.name}")
+        for attr, value in vars(module).items():
+            if (callable(getattr(value, "cache_parameters", None))
+                    and value.__module__ == module.__name__):
+                found[f"{info.name}.{attr}"] = value.cache_parameters()["maxsize"]
+    assert found == CACHED_FUNCTIONS
 
 
 def test_settable_values_are_pinned():

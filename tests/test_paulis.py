@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix
+from isingdefect.paulis import PauliString, WeightedPauliSum, dense_matrix, pauli_table
 
 import oracles
 from oracles import dense, kron_chain
@@ -120,6 +120,36 @@ def test_sum_product_matches_dense():
             C = A @ B - B @ A
             want = sum(abs(np.sum(P.T * C)) for P in strings) / 2**n
             assert oracles.commutator_norm(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_pauli_table_matches_the_oracle():
+    # (X^x Z^z v)[k] = signs[k] v[index[k]], and the oracle's string of key
+    # (x, z) is i^n_y X^x Z^z; stacked tuples give one row per string
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 4):
+        dim = 1 << n
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        keys = list(itertools.product(range(dim), repeat=2))
+        want = {(x, z): (-1j) ** (x & z).bit_count() * dense({(x, z): 1.0}, n) @ v
+                for x, z in keys}
+        for x, z in keys:
+            index, signs = pauli_table(x, z, dim)
+            assert (index is None) == (x == 0)
+            np.testing.assert_allclose(signs * (v if index is None else v[index]),
+                                       want[x, z], rtol=0, atol=1e-12)
+        xs, zs = zip(*keys)
+        for x, z in ((xs, zs), (xs, 1), (dim - 1, zs)):
+            index, signs = pauli_table(x, z, dim)
+            stacked = zip(np.broadcast_to(x, len(keys)), np.broadcast_to(z, len(keys)))
+            rows = [want[int(a), int(b)] for a, b in stacked]
+            np.testing.assert_allclose(signs * v[index], rows, rtol=0, atol=1e-12)
+        index, signs = pauli_table(0, zs, dim)
+        assert index is None and signs.shape == (len(keys), dim)
+        np.testing.assert_allclose(signs * v, [want[0, z] for z in zs], rtol=0, atol=1e-12)
+    index, signs = pauli_table(3, 1, 4)
+    for table in (index, signs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 def test_dense_matrix_real_when_possible_and_guarded():

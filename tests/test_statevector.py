@@ -155,6 +155,16 @@ def test_pauli_expectation_rejects_sites_past_the_register():
             pauli_expectation(plus, PauliString.from_ops({5: letter}))
 
 
+def test_state_refuses_amplitudes_of_another_register():
+    # a 3-qubit state read as 2 qubits gave ybar_exact -1.0 and a numpy
+    # broadcast error in expectation; it is now refused when it is built
+    amps = plus_state(3).amplitudes
+    for n, bad in ((2, amps), (4, amps), (3, amps.reshape(2, 4)), (3, amps[None]), (1, 0.5)):
+        with pytest.raises(ValueError, match="register size mismatch"):
+            StateVector(n, bad)
+    assert StateVector(3, amps).amplitudes is amps
+
+
 def test_ground_state_energy_expectation_small_chain():
     H = dense_hamiltonian(2, 0, 0.0, 1)
     energy, gs, _ = dense_ground(H)
