@@ -27,7 +27,6 @@ from .model import (
     ground_energy_gap,
 )
 from .observables import (
-    LoopOperator,
     correlator_profile,
     correlator_profile_shot,
     correlator_zz,

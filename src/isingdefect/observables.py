@@ -1,5 +1,6 @@
 """Defect-sensitive observables: cross-chain ZZ correlators and the loop
-operator built from braid unitaries.
+operator built from braid unitaries, which one function (`_loop_overlap`)
+applies to a copy of the state and reads as an overlap.
 
 The braid generators are
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,38 +37,22 @@ from .statevector import RotationGate, StateVector, pauli_expectation, rotation_
 Q = 1j * cmath.exp(1j * math.pi / 4)
 
 
-@dataclass(frozen=True)
-class LoopOperator:
-    L: int
-
-    def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("loop operator needs at least two sites")
-
-    @property
-    def prefactor(self) -> complex:
-        return (-Q) ** self.L
-
-    def inverse_rotations(self):
-        """exp(-i pi/4 G_k) for k = 2L-1 down to 1, the order a circuit
-        applies the inverse braids g_k^{-1} = exp(-i pi/4 G_k) / q; G_k is
-        X_s for k = 2s+1 and Z_s Z_{s+1} for k = 2s+2 (0-based sites s)."""
-        for k in range(2 * self.L - 1, 0, -1):
-            s = (k - 1) // 2
-            ops = {s: "X"} if k % 2 else {s: "Z", s + 1: "Z"}
-            yield RotationGate(PauliString.from_ops(ops), math.pi / 4)
-
-
 def _loop_overlap(state: StateVector) -> complex:
-    """(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>: the rotations act on a
-    copy of psi and their scalars 1/q multiply once. Ybar's expectation is
-    twice its real part, which is also the ancilla test's X mean."""
-    loop = LoopOperator(state.n_qubits)
+    """(-q)^L <psi| g_1^{-1}...g_{2L-1}^{-1} |psi>. The inverse braids
+    g_k^{-1} = exp(-i pi/4 G_k) / q act on a copy of psi for k = 2L-1 down
+    to 1, with G_k = X_s for k = 2s+1 and Z_s Z_{s+1} for k = 2s+2 (0-based
+    sites s), and their scalars 1/q multiply once. Ybar's expectation is
+    twice the real part, which is also the ancilla test's X mean."""
+    L = state.n_qubits
+    if L < 2:
+        raise ValueError("loop operator needs at least two sites")
     amps = state.amplitudes.copy()
-    scalar = loop.prefactor
-    for rot in loop.inverse_rotations():
+    scalar = (-Q) ** L
+    for k in range(2 * L - 1, 0, -1):
+        s = (k - 1) // 2
         scalar *= 1 / Q
-        rotation_apply_raw(amps, rot)
+        rotation_apply_raw(amps, RotationGate(
+            PauliString(1 << s, 0) if k % 2 else PauliString(0, 3 << s), math.pi / 4))
     return scalar * complex(np.vdot(state.amplitudes, amps))
 
 

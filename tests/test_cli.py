@@ -279,8 +279,9 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy.linalg would be most of the package's import time; only the QNG
-    # solve and the free-fermion reduction import it, when they run
+    # scipy.linalg would be most of the package's import time; only the
+    # free-fermion reduction and `cli.run`'s version record import scipy,
+    # when they run
     code = ("import sys, isingdefect, isingdefect.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _package_python(code) == "[]"
@@ -700,7 +701,7 @@ STALE_TRACER_BINDINGS = {
 # The package's public names, `isingdefect.__all__`, submodules included: a
 # name added to the API or dropped from it must be changed here.
 PUBLIC_NAMES = {
-    "AnsatzSpec", "Circuit", "EstimateRecord", "LoopOperator", "ModelParams",
+    "AnsatzSpec", "Circuit", "EstimateRecord", "ModelParams",
     "NoiseModel", "OptimizeOptions", "OptimizerState", "PauliString", "RotationGate",
     "ShotPlan", "StateVector", "TraceRow", "WeightedPauliSum", "ZneSchedule", "ansatz",
     "ansatz_circuit", "build_hamiltonian", "circuit_rng", "correlator_profile",
@@ -738,7 +739,6 @@ SETTABLE_VALUES = {
     "measure.sample_pauli_expectation(circuit_id=None)",
     "model.ModelParams.L", "model.ModelParams.b=0", "model.ModelParams.j=None",
     "model.ModelParams.v=0.0", "model.energy_scan(j=None)",
-    "observables.LoopOperator.L",
     "observables.correlator_profile_shot(records=None)",
     "observables.correlator_profile_shot(rs=None)",
     "observables.correlator_profile_shot(runs=1)",
